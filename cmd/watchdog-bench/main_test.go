@@ -229,8 +229,8 @@ func TestMixedFidelityBaselineRefused(t *testing.T) {
 }
 
 // TestFidelityDriftExperiment: -exp fidelity-drift prints the drift
-// table and records one Drift row per (approximate fidelity, config)
-// in the JSON report.
+// table and records one sampled Drift row per config in the JSON
+// report.
 func TestFidelityDriftExperiment(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "drift.json")
 	var stdout, stderr bytes.Buffer
@@ -246,11 +246,11 @@ func TestFidelityDriftExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Drift) != 8 { // {sampled, memoized} x 4 configs
-		t.Fatalf("%d drift rows, want 8: %+v", len(rep.Drift), rep.Drift)
+	if len(rep.Drift) != 4 { // sampled x 4 configs
+		t.Fatalf("%d drift rows, want 4: %+v", len(rep.Drift), rep.Drift)
 	}
 	for _, d := range rep.Drift {
-		if d.Fidelity != "sampled" && d.Fidelity != "memoized" {
+		if d.Fidelity != "sampled" {
 			t.Errorf("drift row for fidelity %q", d.Fidelity)
 		}
 		if d.SpeedupX <= 0 {

@@ -555,7 +555,7 @@ func (r *Runner) Overhead(w workload.Workload, name ConfigName) (float64, error)
 
 // OverheadCtx is Overhead under an explicit context. Cycle counts go
 // through Result.EstimatedCycles, so at the sampled fidelity the ratio
-// compares whole-program extrapolations (for exact and memoized runs
+// compares whole-program extrapolations (for exact runs
 // EstimatedCycles is the measured count and nothing changes).
 func (r *Runner) OverheadCtx(ctx context.Context, w workload.Workload, name ConfigName) (float64, error) {
 	return r.overheadFidelity(ctx, w, name, r.Fidelity)

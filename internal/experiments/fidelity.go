@@ -17,13 +17,13 @@ import (
 var driftConfigs = []ConfigName{CfgConservative, CfgISA, CfgXTag, CfgDangKiller}
 
 // driftFidelities is the measurement order: exact first (it defines
-// the reference), then the approximations.
-var driftFidelities = []sim.Fidelity{sim.FidelityExact, sim.FidelitySampled, sim.FidelityMemoized}
+// the reference), then the approximation.
+var driftFidelities = []sim.Fidelity{sim.FidelityExact, sim.FidelitySampled}
 
-// FidelityDrift quantifies what the approximate fidelities trade away:
-// it sweeps the Figure 7 configurations at exact, sampled and memoized
-// fidelity, and reports each approximation's geomean-overhead drift
-// against exact (percentage points) next to its wall-clock speedup.
+// FidelityDrift quantifies what the sampled fidelity trades away: it
+// sweeps the Figure 7 configurations at exact and sampled fidelity,
+// and reports sampling's geomean-overhead drift against exact
+// (percentage points) next to its wall-clock speedup.
 // The drift records also land in the -json report so CI can gate on
 // them. ISA-assisted profiling passes are warmed before the clock
 // starts, so no fidelity's wall time is billed for the shared

@@ -2,13 +2,10 @@ package pipeline
 
 import "watchdog/internal/isa"
 
-// This file is the pipeline model's approximate-fidelity surface: the
-// functional-warming entry points used by the sampled fidelity's
-// fast-forward phase, and the snapshot/delta/advance primitives behind
-// the memoized fidelity's basic-block timing memo. None of these
-// advance the pipeline clock or the retired-µop statistics; warming
-// touches only cache/TLB state, and Advance folds a previously
-// measured delta wholesale.
+// This file is the pipeline model's functional-warming surface, used
+// by the sampled fidelity's fast-forward phase. Neither entry point
+// advances the pipeline clock or the retired-µop statistics; warming
+// touches only cache/TLB state.
 
 // WarmFetch keeps the I-side hierarchy (ITLB, L1I, shared levels)
 // architecturally warm during fast-forward: the access stream the
@@ -57,132 +54,4 @@ func (m *Model) Warm(u *isa.Uop) {
 		return
 	}
 	m.hier.Data(u.Addr, u.IsWr)
-}
-
-// Snap is an opaque marker of the model's statistical position, taken
-// at a basic-block boundary so the block's timing delta can be
-// measured by DeltaSince.
-type Snap struct {
-	cycles int64
-	stats  Stats // counters only; Cache/Cycles are derived fields
-}
-
-// Snapshot records the model's current position.
-func (m *Model) Snapshot() Snap {
-	return Snap{cycles: m.lastRetire, stats: m.stats}
-}
-
-// BlockDelta is the measured timing footprint of one straight-line
-// block: how far retirement advanced and what was retired. It is a
-// comparable value (arrays, no slices/maps), so the memoizer can test
-// two recordings for exact equality with ==.
-type BlockDelta struct {
-	Cycles     int64
-	MacroInsts uint64
-	Uops       uint64
-	UopsByMeta [isa.NumMetaClasses]uint64
-	UopsByOp   [isa.NumUopOps]uint64
-
-	BaseCycles     int64
-	CheckCycles    int64
-	LockMissCycles int64
-	MetaCycles     int64
-
-	ShadowAccesses uint64
-	LockReads      uint64
-	Mispredicts    uint64
-}
-
-// DeltaSince measures the block delta accumulated since the snapshot.
-func (m *Model) DeltaSince(s Snap) BlockDelta {
-	d := BlockDelta{
-		Cycles:         m.lastRetire - s.cycles,
-		MacroInsts:     m.stats.MacroInsts - s.stats.MacroInsts,
-		Uops:           m.stats.Uops - s.stats.Uops,
-		BaseCycles:     m.stats.BaseCycles - s.stats.BaseCycles,
-		CheckCycles:    m.stats.CheckCycles - s.stats.CheckCycles,
-		LockMissCycles: m.stats.LockMissCycles - s.stats.LockMissCycles,
-		MetaCycles:     m.stats.MetaCycles - s.stats.MetaCycles,
-		ShadowAccesses: m.stats.ShadowAccesses - s.stats.ShadowAccesses,
-		LockReads:      m.stats.LockReads - s.stats.LockReads,
-		Mispredicts:    m.stats.Mispredicts - s.stats.Mispredicts,
-	}
-	for i := range d.UopsByMeta {
-		d.UopsByMeta[i] = m.stats.UopsByMeta[i] - s.stats.UopsByMeta[i]
-	}
-	for i := range d.UopsByOp {
-		d.UopsByOp[i] = m.stats.UopsByOp[i] - s.stats.UopsByOp[i]
-	}
-	return d
-}
-
-// Advance replays a recorded block delta: the clock jumps forward by
-// the block's cycles and every retired-µop statistic folds in, exactly
-// as if the block had been fed µop by µop and behaved identically to
-// the recording. Register ready times are clamped up to the new
-// retirement frontier — "everything in flight completed by the end of
-// the replayed span" — so the next live block sees plausible operand
-// timing instead of values stale by the block's length. Occupancy
-// state (ROB/LQ/SQ/IQ rings, the store queue) is NOT advanced and
-// reads as drained to the next live block; that, and blindness to
-// cache-state drift across the replayed span, are the memoized
-// fidelity's documented accuracy limits (DESIGN.md §12).
-func (m *Model) Advance(d BlockDelta) {
-	m.lastRetire += d.Cycles
-	m.fetchTime += d.Cycles
-	m.fetchGroup = 0
-	frontier := m.fetchTime + int64(m.cfg.FrontEndDepth) + 1
-	for i := range m.regReady {
-		if m.regReady[i] < frontier {
-			m.regReady[i] = frontier
-		}
-	}
-	// Restore the steady-state window-pacing constraints: each window
-	// holds a full complement of entries that retired at retire
-	// bandwidth ending at the block boundary, so the next live block's
-	// dispatch is paced the way a flowing pipeline would pace it — the
-	// constraint phases in as the live block fills the window, instead
-	// of either vanishing (stale drained rings) or stalling everything
-	// behind the boundary (a start-anchored refill).
-	w := m.cfg.RetireWidth
-	refillEnd := func(r *ring, size int) {
-		span := int64((size + w - 1) / w)
-		r.refill(m.lastRetire+1-span, w)
-	}
-	refillEnd(m.rob, m.cfg.ROBSize)
-	refillEnd(m.lq, m.cfg.LQSize)
-	refillEnd(m.sq, m.cfg.SQSize)
-	m.stats.MacroInsts += d.MacroInsts
-	m.stats.Uops += d.Uops
-	m.stats.BaseCycles += d.BaseCycles
-	m.stats.CheckCycles += d.CheckCycles
-	m.stats.LockMissCycles += d.LockMissCycles
-	m.stats.MetaCycles += d.MetaCycles
-	m.stats.ShadowAccesses += d.ShadowAccesses
-	m.stats.LockReads += d.LockReads
-	m.stats.Mispredicts += d.Mispredicts
-	for i := range d.UopsByMeta {
-		m.stats.UopsByMeta[i] += d.UopsByMeta[i]
-	}
-	for i := range d.UopsByOp {
-		m.stats.UopsByOp[i] += d.UopsByOp[i]
-	}
-}
-
-// CtxBucket is a coarse digest of the pipeline's local pressure — the
-// gap between the fetch frontier and the retirement frontier, bucketed
-// logarithmically. It is one ingredient of the memo key: two visits to
-// the same block with the same branch history and the same pressure
-// bucket are presumed (and then verified) to time identically.
-func (m *Model) CtxBucket() uint64 {
-	gap := m.fetchTime - m.lastRetire
-	if gap < 0 {
-		gap = -gap
-	}
-	b := uint64(0)
-	for gap > 0 {
-		gap >>= 2
-		b++
-	}
-	return b
 }

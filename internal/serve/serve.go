@@ -148,8 +148,8 @@ type SimRequest struct {
 	// Scale is the workload scale factor (default 1, capped by the
 	// server's MaxScale).
 	Scale int `json:"scale,omitempty"`
-	// Fidelity selects the timing methodology (exact|sampled|memoized;
-	// empty = exact, so old clients keep their meaning). It is a flight
+	// Fidelity selects the timing methodology (exact|sampled; empty =
+	// exact, so old clients keep their meaning). It is a flight
 	// and runner dimension: cells of different fidelities never share
 	// a computation.
 	Fidelity string `json:"fidelity,omitempty"`

@@ -270,7 +270,8 @@ func TestSimValidation(t *testing.T) {
 
 // TestSimFidelity: fidelity is part of the flight identity — the same
 // (workload, config) at a different fidelity is a new simulation, not
-// a cache replay — and an unknown fidelity is rejected up front.
+// a cache replay — and an unknown or removed fidelity is rejected up
+// front.
 func TestSimFidelity(t *testing.T) {
 	_, ts := testServer(t, Config{MaxWorkers: 2})
 
@@ -278,6 +279,12 @@ func TestSimFidelity(t *testing.T) {
 		SimRequest{Workload: "mcf", Config: "isa", Fidelity: "bogus"})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "fidelity") {
 		t.Fatalf("bogus fidelity: status %d, body %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/sim",
+		SimRequest{Workload: "mcf", Config: "isa", Fidelity: "memoized"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "removed") ||
+		!strings.Contains(string(body), "use sampled") {
+		t.Fatalf("memoized fidelity: status %d, body %s", resp.StatusCode, body)
 	}
 
 	exact := SimRequest{Workload: "mcf", Config: "isa"}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"watchdog/internal/machine"
 )
@@ -17,22 +18,27 @@ import (
 //     fast-forward with cache/predictor warming, timing warmup, then a
 //     measured sample window; whole-program cycles are extrapolated
 //     from the samples' CPI.
-//   - memoized: full-length timing with a basic-block memo that
-//     replays previously measured, revalidated block deltas instead of
-//     re-simulating stable blocks µop by µop.
 //
 // Fidelity only affects timing. Functional execution — and therefore
 // violation detection — is identical at every fidelity.
 type Fidelity string
 
 const (
-	FidelityExact    Fidelity = "exact"
-	FidelitySampled  Fidelity = "sampled"
-	FidelityMemoized Fidelity = "memoized"
+	FidelityExact   Fidelity = "exact"
+	FidelitySampled Fidelity = "sampled"
 )
 
 // Fidelities lists the valid values, for CLI help strings.
-var Fidelities = []Fidelity{FidelityExact, FidelitySampled, FidelityMemoized}
+var Fidelities = []Fidelity{FidelityExact, FidelitySampled}
+
+// FidelityChoices renders Fidelities as "exact|sampled".
+func FidelityChoices() string {
+	names := make([]string, len(Fidelities))
+	for i, f := range Fidelities {
+		names[i] = string(f)
+	}
+	return strings.Join(names, "|")
+}
 
 // ParseFidelity parses a CLI/wire fidelity string. The empty string is
 // exact, so old clients and zero values keep their meaning.
@@ -42,10 +48,11 @@ func ParseFidelity(s string) (Fidelity, error) {
 		return FidelityExact, nil
 	case FidelitySampled:
 		return FidelitySampled, nil
-	case FidelityMemoized:
-		return FidelityMemoized, nil
+	case "memoized":
+		// Old documents and scripts may still name it; say why it is gone.
+		return "", fmt.Errorf("sim: fidelity %q was removed; use sampled (the paper's periodic sampling, under 1 pp drift from exact)", s)
 	}
-	return "", fmt.Errorf("sim: unknown fidelity %q (want exact, sampled, or memoized)", s)
+	return "", fmt.Errorf("sim: unknown fidelity %q (want exact or sampled)", s)
 }
 
 // OrExact normalizes the zero value to FidelityExact.
@@ -121,15 +128,7 @@ func applyFidelity(m *machine.Machine, cfg *Config) error {
 		}
 		m.SetSampling(s)
 		return nil
-	case FidelityMemoized:
-		if cfg.Sampling != nil {
-			return fmt.Errorf("sim: fidelity %s cannot be combined with an explicit Sampling config", f)
-		}
-		if !cfg.Timing {
-			return nil
-		}
-		m.EnableMemo()
-		return nil
 	}
-	return fmt.Errorf("sim: unknown fidelity %q (want exact, sampled, or memoized)", cfg.Fidelity)
+	_, err := ParseFidelity(string(f))
+	return err
 }
