@@ -12,11 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"watchdog/internal/asm"
 	"watchdog/internal/core"
+	"watchdog/internal/flight"
 	"watchdog/internal/isa"
 	"watchdog/internal/machine"
 	"watchdog/internal/mem"
@@ -84,12 +84,16 @@ func Canceled(err error) bool {
 }
 
 // Runner executes (workload, configuration) pairs with caching of
-// programs, profiles and results, so figures sharing runs (e.g. the
-// baseline) pay for them once. All methods are safe for concurrent
-// use: the caches give per-key once-semantics, so even when many
-// goroutines request the same cell (or the same ISA-assisted profile)
-// it is computed exactly once and everyone else blocks on that
-// computation instead of repeating it.
+// profiles and results, so figures sharing runs (e.g. the baseline) pay
+// for them once. All methods are safe for concurrent use: the caches
+// are single-flight (flight.Cache), so even when many goroutines
+// request the same cell (or the same ISA-assisted profile) it is
+// computed exactly once and everyone else blocks on that computation
+// instead of repeating it. A runner keeps every completed Result: its
+// cell space is finite (at most 20 workloads × 13 configurations per
+// fidelity at its one scale, plus locksweep's cache sizes), and
+// overhead cells re-read their baselines, so evicting them would
+// re-simulate.
 type Runner struct {
 	Scale     int
 	Workloads []workload.Workload
@@ -139,9 +143,10 @@ type Runner struct {
 	// assembly reads).
 	Remote RemoteCellRunner
 
-	mu       sync.Mutex
-	profiles map[string]*profileEntry
-	results  map[string]*resultEntry
+	// Both caches are built on first use, so a new runner allocates
+	// nothing for them.
+	profiles flight.Cache[string, *core.Profile]
+	results  flight.Cache[string, cellResult]
 }
 
 // RemoteCellRunner fetches one simulated cell from somewhere other
@@ -154,30 +159,13 @@ type RemoteCellRunner interface {
 	RemoteCell(ctx context.Context, workload string, config ConfigName, fid sim.Fidelity, overhead bool) (report.Cell, error)
 }
 
-// resultEntry is one result-cache slot. The creator (the goroutine
-// that inserted the entry) computes the cell and closes done; every
-// other requester of the same key waits on done — or bails on its own
-// context, leaving the computation running for the rest. This is what
-// the serving layer's request coalescing rides on: N identical
-// in-flight requests cost one simulation, and a coalesced waiter's
-// deadline still fires on time.
-type resultEntry struct {
-	done chan struct{}
+// cellResult is one completed result-cache entry. cell is the wire
+// record a remote fetch produced (nil for local simulations): Report
+// emits it verbatim so a distributed report is byte-identical to the
+// local one, while res holds the reconstruction the figure math reads.
+type cellResult struct {
 	res  *machine.Result
-	// cell is the wire record a remote fetch produced (nil for local
-	// simulations): Report emits it verbatim so a distributed report
-	// is byte-identical to the local one, while res holds the
-	// reconstruction the figure math reads.
 	cell *report.Cell
-	err  error
-}
-
-// profileEntry is one profiling-pass cache slot with the same
-// creator-computes semantics.
-type profileEntry struct {
-	done chan struct{}
-	prof *core.Profile
-	err  error
 }
 
 // NewRunner builds a runner over all workloads (or the given subset).
@@ -201,12 +189,7 @@ func NewRunner(scale int, names ...string) (*Runner, error) {
 				strings.Join(unknown, ", "), workload.Names())
 		}
 	}
-	return &Runner{
-		Scale:     scale,
-		Workloads: ws,
-		profiles:  make(map[string]*profileEntry),
-		results:   make(map[string]*resultEntry),
-	}, nil
+	return &Runner{Scale: scale, Workloads: ws}, nil
 }
 
 // rtOptions maps a configuration to its runtime variant.
@@ -321,9 +304,8 @@ func (r *Runner) Run(w workload.Workload, name ConfigName) (*machine.Result, err
 // mid-simulation. Identical concurrent requests coalesce onto one
 // computation (driven by the first requester's context); a waiter
 // whose own context fires stops waiting without disturbing the
-// computation. A computation killed by its context is evicted from
-// the cache, so a later request recomputes instead of being served
-// the stale cancellation error.
+// computation. A failed computation, canceled or not, is not cached,
+// so a later request recomputes.
 func (r *Runner) RunCtx(ctx context.Context, w workload.Workload, name ConfigName) (*machine.Result, error) {
 	return r.RunFidelityCtx(ctx, w, name, r.Fidelity)
 }
@@ -360,46 +342,16 @@ func (r *Runner) RunFidelityCtx(ctx context.Context, w workload.Workload, name C
 // the result plus, for remote fetches, the verbatim wire cell (nil for
 // local simulations).
 func (r *Runner) cachedResult(ctx context.Context, key string, compute func() (*machine.Result, *report.Cell, error)) (*machine.Result, error) {
-	r.mu.Lock()
-	if r.results == nil {
-		r.results = make(map[string]*resultEntry)
-	}
-	e, ok := r.results[key]
-	if !ok {
-		e = &resultEntry{done: make(chan struct{})}
-		r.results[key] = e
-		r.mu.Unlock()
+	v, shared, err := r.results.Do(ctx, key, func() (cellResult, error) {
 		start := time.Now()
-		e.res, e.cell, e.err = compute()
+		res, cell, err := compute()
 		r.Timing.AddSim(time.Since(start))
-		if e.err != nil && Canceled(e.err) {
-			// Don't let a canceled computation poison the cache: the
-			// next request for this key starts fresh.
-			r.mu.Lock()
-			if r.results[key] == e {
-				delete(r.results, key)
-			}
-			r.mu.Unlock()
-		}
-		close(e.done)
-		return e.res, e.err
+		return cellResult{res: res, cell: cell}, err
+	})
+	if shared {
+		r.Timing.AddHit()
 	}
-	r.mu.Unlock()
-	r.Timing.AddHit()
-	// Completed entries are served even under a canceled context (the
-	// non-blocking poll below), so report assembly after an interrupt
-	// still reads everything that finished.
-	select {
-	case <-e.done:
-		return e.res, e.err
-	default:
-	}
-	select {
-	case <-e.done:
-		return e.res, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return v.res, err
 }
 
 // resultFromCell inverts buildCell far enough for the figure assembly:
@@ -409,7 +361,7 @@ func (r *Runner) cachedResult(ctx context.Context, key string, compute func() (*
 // Sampled* counters stay zero on purpose — the wire Cycles value is
 // already the extrapolation at any fidelity, so EstimatedCycles must
 // return it unscaled. Report never re-flattens a reconstruction: the
-// verbatim wire cell is emitted instead (resultEntry.cell), so
+// verbatim wire cell is emitted instead (cellResult.cell), so
 // lossiness here (e.g. the exact per-region footprint spread) cannot
 // leak into a document.
 func resultFromCell(c *report.Cell) *machine.Result {
@@ -500,51 +452,23 @@ func (r *Runner) runUncached(ctx context.Context, w workload.Workload, name Conf
 // profiling pass exactly once even when many configurations request
 // the same workload's profile concurrently. Workload programs build
 // deterministically, so whichever caller wins the race profiles an
-// identical program. Like the result cache, a canceled profiling pass
-// is evicted rather than cached.
+// identical program. Like a result, a failed profiling pass is not
+// cached.
 func (r *Runner) profileFor(ctx context.Context, key string, prog *asm.Program, rtEnd int, opts rt.Options) (*core.Profile, error) {
-	r.mu.Lock()
-	if r.profiles == nil {
-		r.profiles = make(map[string]*profileEntry)
-	}
-	e, ok := r.profiles[key]
-	if !ok {
-		e = &profileEntry{done: make(chan struct{})}
-		r.profiles[key] = e
-		r.mu.Unlock()
+	p, _, err := r.profiles.Do(ctx, key, func() (*core.Profile, error) {
 		start := time.Now()
 		base := core.DefaultConfig()
 		if opts.Bounds {
 			base.Bounds = core.BoundsFused
 		}
 		p, err := sim.ProfileCtx(ctx, prog, base, rtEnd)
-		if err != nil {
-			err = fmt.Errorf("profiling %s: %w", key, err)
-		}
-		e.prof, e.err = p, err
 		r.Timing.AddProfile(time.Since(start))
-		if e.err != nil && Canceled(e.err) {
-			r.mu.Lock()
-			if r.profiles[key] == e {
-				delete(r.profiles, key)
-			}
-			r.mu.Unlock()
+		if err != nil {
+			return nil, fmt.Errorf("profiling %s: %w", key, err)
 		}
-		close(e.done)
-		return e.prof, e.err
-	}
-	r.mu.Unlock()
-	select {
-	case <-e.done:
-		return e.prof, e.err
-	default:
-	}
-	select {
-	case <-e.done:
-		return e.prof, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+		return p, nil
+	})
+	return p, err
 }
 
 // Overhead computes the slowdown ratio of cfg over the baseline for

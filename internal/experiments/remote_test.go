@@ -168,4 +168,8 @@ func TestRemoteErrorPropagates(t *testing.T) {
 	} else if got := err.Error(); !strings.Contains(got, "fleet on fire") || !strings.Contains(got, "remote") {
 		t.Errorf("error lost context: %v", got)
 	}
+	// The failure was not cached: a retry asks the fleet again.
+	if _, err := r.Run(w, CfgBaseline); err == nil || e.calls != 2 {
+		t.Errorf("retry: err %v after %d remote calls, want a second failing call", err, e.calls)
+	}
 }

@@ -107,27 +107,9 @@ func (r *Runner) Report(figures []string, juliet *security.Summary) (*report.Rep
 		rep.Figures = append(rep.Figures, fig)
 	}
 
-	// Snapshot the result cache, skipping entries still computing (a
-	// non-blocking poll of each entry's done channel keeps the
-	// snapshot race-clean even while other requests are in flight).
-	r.mu.Lock()
-	type snap struct {
-		res  *machine.Result
-		cell *report.Cell
-	}
-	cells := make(map[string]snap, len(r.results))
-	for key, e := range r.results {
-		select {
-		case <-e.done:
-		default:
-			continue
-		}
-		if e.err == nil && e.res != nil {
-			cells[key] = snap{res: e.res, cell: e.cell}
-		}
-	}
-	r.mu.Unlock()
-
+	// Snapshot the completed results (entries still computing are
+	// skipped).
+	cells := r.results.Snapshot()
 	keys := make([]string, 0, len(cells))
 	for k := range cells {
 		keys = append(keys, k)

@@ -15,6 +15,7 @@ import (
 	"watchdog/internal/report"
 	"watchdog/internal/serve"
 	"watchdog/internal/sim"
+	"watchdog/internal/workload"
 )
 
 // testSet mirrors the experiments package's test subset: small enough
@@ -231,53 +232,37 @@ func TestHedging(t *testing.T) {
 	}
 }
 
-// TestCacheReplay: the content-addressed cache answers repeat fetches
-// without any worker traffic, including equivalent spellings of the
-// same cell (fidelity "" vs "exact").
+// TestCacheReplay: repeat fetches are answered by the runner's own
+// result cache, equivalent spellings of a cell (fidelity "" vs "exact")
+// included, so a re-sweep sends no worker traffic. The coordinator
+// itself keeps no cells and reports 0 cache hits.
 func TestCacheReplay(t *testing.T) {
 	w := newWorker(t)
 	fab := newFabric(t, Options{}, w.URL)
-
-	ctx := context.Background()
-	c1, err := fab.RemoteCell(ctx, "lbm", experiments.CfgBaseline, sim.FidelityExact, false)
-	if err != nil {
+	r := newRunner(t, fab)
+	if _, err := r.Fig7(); err != nil {
 		t.Fatal(err)
 	}
 	sent := fab.Stats().CellsSent
-	c2, err := fab.RemoteCell(ctx, "lbm", experiments.CfgBaseline, "", false)
-	if err != nil {
+	if _, err := r.Fig7(); err != nil {
 		t.Fatal(err)
+	}
+	lbm, _ := workload.ByName("lbm")
+	ctx := context.Background()
+	for _, fid := range []sim.Fidelity{"", sim.FidelityExact} {
+		if _, err := r.RunFidelityCtx(ctx, lbm, experiments.CfgBaseline, fid); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fs := fab.Stats()
 	if fs.CellsSent != sent {
-		t.Errorf("replay sent %d extra requests", fs.CellsSent-sent)
+		t.Errorf("re-reads sent %d extra requests, want pure runner-cache replay", fs.CellsSent-sent)
 	}
-	if fs.CacheHits != 1 {
-		t.Errorf("CacheHits = %d, want 1", fs.CacheHits)
+	if r.Timing.Hits() < 10 {
+		t.Errorf("runner cache hits = %d after a replayed sweep, want >= 10", r.Timing.Hits())
 	}
-	b1, _ := json.Marshal(c1)
-	b2, _ := json.Marshal(c2)
-	if string(b1) != string(b2) {
-		t.Errorf("cached cell differs from original: %s vs %s", b1, b2)
-	}
-
-	// A fresh runner over the same fabric re-reads the whole sweep
-	// from the cache: no new worker traffic for cells already held.
-	r1 := newRunner(t, fab)
-	if _, err := r1.Fig7(); err != nil {
-		t.Fatal(err)
-	}
-	sent = fab.Stats().CellsSent
-	r2 := newRunner(t, fab)
-	if _, err := r2.Fig7(); err != nil {
-		t.Fatal(err)
-	}
-	fs = fab.Stats()
-	if fs.CellsSent != sent {
-		t.Errorf("second runner sent %d extra requests, want pure cache replay", fs.CellsSent-sent)
-	}
-	if fs.CacheHits < 10 {
-		t.Errorf("CacheHits = %d after a replayed sweep, want >= 10", fs.CacheHits)
+	if fs.CacheHits != 0 {
+		t.Errorf("coordinator CacheHits = %d, want 0 (it keeps no cells)", fs.CacheHits)
 	}
 }
 

@@ -24,7 +24,7 @@ func WritePromStats(p *stats.PromWriter, fs report.FabricStats) {
 		"Cell re-issues after a failed placement round.",
 		nil, float64(fs.Retried))
 	p.Counter("watchdog_fabric_cache_hits_total",
-		"Cells answered from the content-addressed result cache.",
+		"Always 0: the coordinator keeps no cells (the runner it serves does).",
 		nil, float64(fs.CacheHits))
 	p.Counter("watchdog_fabric_ejections_total",
 		"Workers marked dead (live-to-dead edges only).",

@@ -268,8 +268,9 @@ type FabricStats struct {
 	// hedge delay; Retried counts re-issues after a worker failed.
 	Hedged  int64 `json:"hedged"`
 	Retried int64 `json:"retried"`
-	// CacheHits counts cells answered from the fabric's
-	// content-addressed result cache without any request.
+	// CacheHits is always 0 and kept for schema-v1 readers: the
+	// coordinator keeps no cells, because the runner it serves already
+	// caches every cell it fetched.
 	CacheHits int64 `json:"cache_hits"`
 	// Ejections counts workers marked dead (connection failures or
 	// failed health probes); a worker can be ejected and readmitted

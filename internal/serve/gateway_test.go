@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -300,34 +302,35 @@ func TestBackpressureRetryAfterFromWindow(t *testing.T) {
 	}
 }
 
-// TestResultCacheLRU: the in-memory layer is a real LRU — bounded,
-// promoting on access, evicting the coldest.
+// TestResultCacheLRU: the in-memory layer is a real LRU by entry
+// count — bounded, promoting on access, evicting the coldest.
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if _, ok := c.get("a"); !ok { // promote a over b
+	c := &New(Config{CacheEntries: 2}).cells
+	c.Add("a", []byte("A"))
+	c.Add("b", []byte("B"))
+	if _, ok := c.Get("a"); !ok { // promote a over b
 		t.Fatal("a missing before eviction")
 	}
-	c.put("c", []byte("C")) // evicts b, the coldest
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	c.Add("c", []byte("C")) // evicts b, the coldest
+	if c.Stats().Len != 2 {
+		t.Fatalf("len = %d, want 2", c.Stats().Len)
 	}
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction; LRU order not honored")
 	}
-	if body, ok := c.get("a"); !ok || string(body) != "A" {
+	if body, ok := c.Get("a"); !ok || string(body) != "A" {
 		t.Errorf("a = %q/%v, want promoted survivor", body, ok)
 	}
-	if c.evictions.Load() != 1 {
-		t.Errorf("evictions = %d, want 1", c.evictions.Load())
+	if c.Stats().Evictions != 1 {
+		t.Errorf("evictions = %d, want 1", c.Stats().Evictions)
 	}
 }
 
-// TestFlightsMapBounded is the retention bugfix's contract: a flood of
-// distinct cells leaves the in-flight map empty and the cache at its
-// configured bound, instead of the old one-entry-per-unique-cell
-// growth.
+// TestFlightsMapBounded: a flood of distinct cells leaves the flight
+// cache at its configured bound of completed bodies, with no flight or
+// worker slot left behind. The runners underneath still keep every
+// Result: that memory is bounded by the finite cell space, not by
+// CacheEntries.
 func TestFlightsMapBounded(t *testing.T) {
 	s, ts := testServer(t, Config{MaxWorkers: 2, CacheEntries: 2})
 	cells := []SimRequest{
@@ -342,16 +345,13 @@ func TestFlightsMapBounded(t *testing.T) {
 			t.Fatalf("cell %d: %d (%s)", i, resp.StatusCode, body)
 		}
 	}
-	s.mu.Lock()
-	inflight := len(s.flights)
-	s.mu.Unlock()
-	if inflight != 0 {
-		t.Errorf("flights map holds %d completed entries, want 0 (in-flight only)", inflight)
+	if n, slots := s.inflight.Load(), len(s.sem); n != 0 || slots != 0 {
+		t.Errorf("%d computations and %d worker slots outlived their requests, want 0", n, slots)
 	}
-	if got := s.cache.len(); got != 2 {
+	if got := s.cells.Stats().Len; got != 2 {
 		t.Errorf("cache holds %d entries, want the configured bound 2", got)
 	}
-	if got := s.cache.evictions.Load(); got != 3 {
+	if got := s.cells.Stats().Evictions; got != 3 {
 		t.Errorf("cache evictions = %d, want 3", got)
 	}
 }
@@ -376,7 +376,7 @@ func TestStoreRoundTrip(t *testing.T) {
 
 	// Flip a byte mid-file: the checksum must catch it, the entry must
 	// be evicted, and the key must read as a miss thereafter.
-	p := st.path("sim/x/y/1/exact/false")
+	p := filepath.Join(dir, entryName("sim/x/y/1/exact/false"))
 	raw, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -406,9 +406,7 @@ func TestStoreBudgetEviction(t *testing.T) {
 	}
 	big := bytes.Repeat([]byte("x"), 400<<10) // ~533KiB base64-encoded per entry
 	st.Write("k1", big)
-	time.Sleep(10 * time.Millisecond) // distinct mtimes for LRU order
 	st.Write("k2", big)
-	time.Sleep(10 * time.Millisecond)
 	st.Write("k3", big)
 	if _, ok := st.Read("k3"); !ok {
 		t.Error("just-written entry evicted")
@@ -416,8 +414,151 @@ func TestStoreBudgetEviction(t *testing.T) {
 	if _, ok := st.Read("k1"); ok {
 		t.Error("oldest entry survived a blown budget")
 	}
-	if st.evictions.Load() == 0 {
+	if st.index.Stats().Evictions == 0 {
 		t.Error("no evictions counted despite blown budget")
+	}
+}
+
+// storeFiles returns the store directory's entry and temp file names
+// and the entries' total size.
+func storeFiles(t *testing.T, dir string) (entries, temps []string, size int64) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		switch filepath.Ext(de.Name()) {
+		case ".json":
+			fi, err := de.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries = append(entries, de.Name())
+			size += fi.Size()
+		case ".tmp":
+			temps = append(temps, de.Name())
+		}
+	}
+	return entries, temps, size
+}
+
+// TestStoreTornTempFile: a write that crashed between creating its temp
+// file and renaming it leaves a temp file. Reopening the store deletes
+// it; it is never served, and the byte total counts exactly the entry
+// files, across writes and evictions.
+func TestStoreTornTempFile(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Write("kept", []byte(`{"kept":true}`))
+	torn := filepath.Join(dir, entryName("torn")+".tmp")
+	if err := os.WriteFile(torn, []byte(`{"schema":1,"key":"torn","su`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = openStore(dir, 3<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Errorf("torn temp file survived OpenStore (stat err %v)", err)
+	}
+	if _, ok := st.Read("torn"); ok {
+		t.Error("torn write served")
+	}
+	if body, ok := st.Read("kept"); !ok || string(body) != `{"kept":true}` {
+		t.Errorf("kept = %q/%v, want the intact entry", body, ok)
+	}
+	check := func(when string) {
+		t.Helper()
+		entries, temps, size := storeFiles(t, dir)
+		if len(temps) != 0 {
+			t.Errorf("%s: temp files left: %v", when, temps)
+		}
+		if got := st.index.Stats().Weight; got != size {
+			t.Errorf("%s: byte total %d, files on disk %d", when, got, size)
+		}
+		if got := st.index.Stats().Len; got != len(entries) {
+			t.Errorf("%s: index holds %d entries, disk %d", when, got, len(entries))
+		}
+	}
+	check("after open")
+	for i := 0; i < 20; i++ { // ~500 B each against a 3 KiB budget
+		st.Write(fmt.Sprintf("k%d", i), bytes.Repeat([]byte("x"), 300))
+	}
+	st.Write("k3", []byte("overwritten")) // replace a resident entry
+	check("after writes")
+	if st.index.Stats().Evictions == 0 {
+		t.Error("no evictions despite a blown budget")
+	}
+}
+
+// TestStoreConcurrentWritesOneKey: concurrent writes of one key (an
+// LRU-evicted key recomputed while its write-behind still runs) each
+// use their own temp file, and leave exactly one valid entry and no
+// temp files behind.
+func TestStoreConcurrentWritesOneKey(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte("cell"), 1000)
+	const n = 16
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.Write("sim/lbm/isa/1/exact/false", body)
+		}()
+	}
+	wg.Wait()
+	entries, temps, size := storeFiles(t, dir)
+	if len(entries) != 1 || len(temps) != 0 {
+		t.Fatalf("store holds entries %v and temps %v, want one entry and no temps", entries, temps)
+	}
+	if got, ok := st.Read("sim/lbm/isa/1/exact/false"); !ok || !bytes.Equal(got, body) {
+		t.Error("the surviving entry does not verify")
+	}
+	if st.writes.Load() != n || st.index.Stats().Weight != size || st.index.Stats().Len != 1 {
+		t.Errorf("writes %d, byte total %d (disk %d), index len %d", st.writes.Load(), st.index.Stats().Weight, size, st.index.Stats().Len)
+	}
+}
+
+// BenchmarkStoreWrite: one write over the byte budget with 100 and with
+// 10,000 resident entries. Each write evicts the oldest entry; its cost
+// must not grow with the number of entries.
+func BenchmarkStoreWrite(b *testing.B) {
+	body := bytes.Repeat([]byte("x"), 256)
+	for _, resident := range []int{100, 10000} {
+		b.Run(fmt.Sprintf("entries=%d", resident), func(b *testing.B) {
+			dir := b.TempDir()
+			st, err := openStore(dir, 1<<40)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Keys of one length make every entry weigh the same.
+			for i := 0; i < resident; i++ {
+				st.Write(fmt.Sprintf("k%09d", i), body)
+			}
+			// Reopen with the budget at what is resident: every further
+			// write is over it by one entry.
+			if st, err = openStore(dir, st.index.Stats().Weight); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Write(fmt.Sprintf("k%09d", resident+i), body)
+			}
+			b.StopTimer()
+			if st.index.Stats().Len != resident {
+				b.Fatalf("%d entries resident, want %d", st.index.Stats().Len, resident)
+			}
+		})
 	}
 }
 

@@ -140,18 +140,8 @@ func (s *Server) writeProm(w http.ResponseWriter) int {
 		"Disk entries that failed verification and were evicted, not served.",
 		nil, float64(sm.CorruptEvicted))
 
-	// Harness counters: the same aggregation the JSON document reports.
-	var h HarnessMetrics
-	s.mu.Lock()
-	for _, r := range s.runners {
-		h.Sims += r.Timing.Sims()
-		h.Profiles += r.Timing.Profiles()
-		h.CacheHits += r.Timing.Hits()
-		h.BusyNanos += int64(r.Timing.BusyTime())
-	}
-	s.mu.Unlock()
-	h.Sims += s.julietTiming.Sims()
-	h.BusyNanos += int64(s.julietTiming.BusyTime())
+	// Harness counters: the same snapshot the JSON document reports.
+	h := s.harnessMetrics()
 	p.Counter("watchdog_harness_sims_total",
 		"Timed simulations executed by the shared runners.",
 		nil, float64(h.Sims))
@@ -164,13 +154,9 @@ func (s *Server) writeProm(w http.ResponseWriter) int {
 	p.Counter("watchdog_harness_busy_seconds_total",
 		"Cumulative wall time spent inside simulations.",
 		nil, time.Duration(h.BusyNanos).Seconds())
-	ratio := 0.0
-	if total := h.CacheHits + h.Sims; total > 0 {
-		ratio = float64(h.CacheHits) / float64(total)
-	}
 	p.Gauge("watchdog_harness_cache_hit_ratio",
 		"Cache hits / (hits + sims) since start.",
-		nil, ratio)
+		nil, h.CacheHitRatio)
 
 	w.Header().Set("Content-Type", stats.PromContentType)
 	w.WriteHeader(http.StatusOK)

@@ -9,9 +9,9 @@
 //
 //   - Coalescing. Identical in-flight requests collapse onto one
 //     computation (a per-key flight, riding the runner's own
-//     once-caches underneath), and completed flights are replayed
-//     from memory — the simulations are deterministic, so a cached
-//     response is indistinguishable from a fresh one.
+//     single-flight caches underneath), and completed flights are
+//     replayed from memory — the simulations are deterministic, so a
+//     cached response is indistinguishable from a fresh one.
 //   - Backpressure. New computations pass through a bounded worker
 //     semaphore; when it is saturated the request is rejected
 //     immediately with 429 and a Retry-After hint instead of queuing
@@ -28,13 +28,13 @@
 //     still running — cancellation lands mid-simulation via the
 //     machine's cooperative check.
 //
-// On top of those, the gateway layers (PR 10) add tenancy: API-key
+// On top of those, the gateway layers add tenancy: API-key
 // auth resolving every request to a tenant (the anonymous tenant when
 // auth is off), per-tenant token-bucket rate limits and daily quotas,
 // and a persistent result store — a bounded in-memory LRU of completed
 // bodies in front of an optional disk-backed content-addressed layer —
-// so retention is capped and a restarted server replays prior results
-// byte-identically without re-simulating.
+// so a restarted server replays prior results byte-identically without
+// re-simulating.
 package serve
 
 import (
@@ -54,6 +54,7 @@ import (
 
 	"watchdog/internal/core"
 	"watchdog/internal/experiments"
+	"watchdog/internal/flight"
 	"watchdog/internal/report"
 	"watchdog/internal/security"
 	"watchdog/internal/sim"
@@ -107,9 +108,9 @@ type Config struct {
 	// Quota caps each tenant's admitted /v1/* requests per UTC day
 	// (0 = unlimited).
 	Quota int64
-	// CacheEntries bounds the in-memory LRU of completed flight bodies
-	// (the fix for the old keep-every-success-forever retention).
-	// Default: 512.
+	// CacheEntries bounds the in-memory LRU of completed flight bodies.
+	// It does not bound the server's memory: the runners underneath keep
+	// every simulated Result of their finite cell space. Default: 512.
 	CacheEntries int
 	// Store, when non-nil, persists completed bodies write-behind and
 	// answers cold-cache replays, including across restarts.
@@ -248,17 +249,6 @@ type runnerKey struct {
 	fid   sim.Fidelity
 }
 
-// flight is one in-flight (or completed) computation keyed by the
-// request tuple. The creator computes, fills status/body and closes
-// done; everyone else waits on done or their own context. Failed
-// flights are evicted so a retry recomputes; successful ones are kept
-// and replayed (the simulations are deterministic).
-type flight struct {
-	done   chan struct{}
-	status int
-	body   []byte
-}
-
 // Server is the simulation service. Create with New, mount Handler on
 // any mux or run Serve for the managed listen/drain lifecycle. A
 // Server is single-use: once drained it does not restart.
@@ -278,10 +268,12 @@ type Server struct {
 	rejectedUnauthorized atomic.Int64
 	rejectedLimited      atomic.Int64
 
-	// limiter holds every tenant's token bucket and quota window;
-	// cache is the bounded LRU of completed flight bodies.
+	// limiter holds every tenant's token bucket and quota window.
 	limiter *tenantLimiter
-	cache   *resultCache
+	// cells holds the flights: computations in flight (at most
+	// MaxWorkers, as creating one takes a worker slot) and an LRU of
+	// CacheEntries completed bodies.
+	cells flight.Cache[string, []byte]
 
 	// storeWG tracks write-behind store persists so drain (and tests,
 	// via Flush) can wait for them.
@@ -299,7 +291,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	runners map[runnerKey]*experiments.Runner
-	flights map[string]*flight
 
 	simMet    endpointTrack
 	julietMet endpointTrack
@@ -323,11 +314,12 @@ func New(cfg Config) *Server {
 		log:       cfg.Logger,
 		sem:       make(chan struct{}, cfg.MaxWorkers),
 		runners:   make(map[runnerKey]*experiments.Runner),
-		flights:   make(map[string]*flight),
 		flightLog: newFlightLog(cfg.FlightLogN),
 		limiter:   newTenantLimiter(cfg.Rate, cfg.Burst, cfg.Quota),
-		cache:     newResultCache(cfg.CacheEntries),
 	}
+	s.cells.MaxWeight = int64(cfg.CacheEntries)
+	s.cells.Admit = s.admit
+	s.cells.OnShare = func() { s.coalesced.Add(1) }
 	s.simMet.hist = stats.NewHistogram()
 	s.julietMet.hist = stats.NewHistogram()
 	s.forceCtx, s.forceStop = context.WithCancel(context.Background())
@@ -519,8 +511,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		},
 		Tenants: s.limiter.snapshot(),
 		Store:   s.storeMetrics(),
+		Harness: s.harnessMetrics(),
 	}
-	h := &m.Harness
+	return writeJSON(w, http.StatusOK, &m)
+}
+
+// harnessMetrics sums the runners' timing counters and the security
+// suite's into the one snapshot both /metrics views render.
+func (s *Server) harnessMetrics() HarnessMetrics {
+	var h HarnessMetrics
 	s.mu.Lock()
 	for _, r := range s.runners {
 		h.Sims += r.Timing.Sims()
@@ -534,7 +533,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	if total := h.CacheHits + h.Sims; total > 0 {
 		h.CacheHitRatio = float64(h.CacheHits) / float64(total)
 	}
-	return writeJSON(w, http.StatusOK, &m)
+	return h
 }
 
 // handleSim serves POST /v1/sim: validate, coalesce, compute one
@@ -689,155 +688,129 @@ func (s *Server) gate(w http.ResponseWriter, r *http.Request) (int, bool) {
 	return 0, true
 }
 
-// flightDo answers the request for key. Completed computations replay
-// from the result cache (memory LRU first, then the disk store);
-// otherwise the request coalesces onto the in-flight computation for
-// key, creating it (and computing, under the worker semaphore) if
-// absent. The flights map holds only in-flight computations — the fix
-// for the old keep-every-success-forever retention — so memory stays
-// bounded at the LRU size under any flood of distinct cells. compute
-// returns the status and body to replay.
+// errBusy refuses a new flight when every worker slot is taken.
+var errBusy = errors.New("all workers busy")
+
+// admit is the flight cache's admission hook: a request may create a
+// flight only if it takes a worker slot at once (the creator releases
+// it when its computation ends). Waiters and replays never need one.
+func (s *Server) admit() error {
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	default:
+		return errBusy
+	}
+}
+
+// failedFlight carries a failed computation's answer to everyone on
+// its flight; the flight cache then drops it so a retry recomputes.
+type failedFlight struct {
+	status int
+	body   []byte
+}
+
+func (f *failedFlight) Error() string { return http.StatusText(f.status) }
+
+// flightDo answers the request for key. A completed body replays from
+// the in-memory LRU, then from the disk store; otherwise the request
+// joins the computation in flight for key, or creates it if it wins a
+// worker slot (429 with Retry-After if not). compute returns the status
+// and body to replay. Only successes are kept: the LRU holds at most
+// CacheEntries bodies besides the flights still computing.
 func (s *Server) flightDo(w http.ResponseWriter, r *http.Request, met *endpointTrack, key string, timeoutMS int64, compute func(context.Context) (int, []byte)) int {
 	info := requestInfo(r)
 	if info != nil {
 		info.key = key
 	}
-	// Replays count as coalesced: the request rode a completed
-	// computation instead of starting one, exactly as before when
-	// completed flights lingered in the map.
-	if body, ok := s.cache.get(key); ok {
+	body, ok := s.cells.Get(key)
+	if !ok && s.cfg.Store != nil {
+		if body, ok = s.cfg.Store.Read(key); ok {
+			s.cells.Add(key, body)
+		}
+	}
+	if ok {
+		// Replays count as coalesced: the request rode a completed
+		// computation instead of starting one.
 		s.coalesced.Add(1)
 		if info != nil {
 			info.coalesced = true
 		}
 		return writeRaw(w, http.StatusOK, body)
 	}
-	if st := s.cfg.Store; st != nil {
-		if body, ok := st.Read(key); ok {
-			s.cache.put(key, body)
-			s.coalesced.Add(1)
-			if info != nil {
-				info.coalesced = true
-			}
-			return writeRaw(w, http.StatusOK, body)
-		}
-	}
 
-	f, creator, st := s.claimFlight(w, met, key)
-	if f == nil {
-		return st // rejected: semaphore full
-	}
-	if info != nil {
-		info.coalesced = !creator
-	}
-	if creator {
-		defer func() { <-s.sem }()
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		// The computation is detached from the creator's connection on
-		// purpose: it runs under the server lifecycle (forceCtx, so the
-		// drain deadline still force-cancels it) capped by the resolved
-		// timeout, never under r.Context(). A flight is shared — if the
-		// creating client disconnects, the coalesced waiters still need
-		// the result, and the fabric's hedged retries deliberately
-		// abandon the slower of two identical requests. Waiters race
-		// their own deadlines below; the deadline clock starts at
-		// admission, before the test hook, so a stalled computation
-		// burns its own budget.
-		ctx, cancel := context.WithTimeout(s.forceCtx, s.timeout(timeoutMS))
-		defer cancel()
-		if s.computeStarted != nil {
-			s.computeStarted()
-		}
-
-		computeStart := time.Now()
-		f.status, f.body = compute(ctx)
-		if met != nil {
-			// The compute window feeds the backpressure Retry-After
-			// hint; replays and coalesced waits would drag the p50
-			// toward zero, so only real computations observe.
-			met.compute.Observe(time.Since(computeStart), f.status >= 400)
-		}
-		if f.status == http.StatusOK {
-			s.cache.put(key, f.body)
-			if store := s.cfg.Store; store != nil {
-				body := f.body
-				s.storeWG.Add(1)
-				go func() {
-					defer s.storeWG.Done()
-					store.Write(key, body)
-				}()
-			}
-		}
-		// Evict from the in-flight map either way: waiters already hold
-		// f, new arrivals replay from the cache (successes) or recompute
-		// (failures — cancellations, deadline expiries, simulator
-		// errors must never be cached).
-		s.mu.Lock()
-		if s.flights[key] == f {
-			delete(s.flights, key)
-		}
-		s.mu.Unlock()
-		close(f.done)
-		return writeRaw(w, f.status, f.body)
-	}
-
-	s.coalesced.Add(1)
-	// Completed flights replay even under an expired context; only a
-	// still-running computation makes the waiter's own deadline race.
-	select {
-	case <-f.done:
-		return writeRaw(w, f.status, f.body)
-	default:
-	}
+	// A waiter gives up on its own deadline or disconnect; the creator
+	// computes under the server's lifecycle instead (see computeFlight).
 	waitCtx, cancel := context.WithTimeout(r.Context(), s.timeout(timeoutMS))
 	defer cancel()
-	select {
-	case <-f.done:
-		return writeRaw(w, f.status, f.body)
-	case <-waitCtx.Done():
-		st, body := failureStatus(waitCtx, waitCtx.Err())
+	body, shared, err := s.cells.Do(waitCtx, key, func() ([]byte, error) {
+		return s.computeFlight(met, key, timeoutMS, compute)
+	})
+	if info != nil {
+		info.coalesced = shared
+	}
+	var failed *failedFlight
+	switch {
+	case err == nil:
+		return writeRaw(w, http.StatusOK, body)
+	case errors.Is(err, errBusy):
+		s.rejectedBusy.Add(1)
+		retry := busyRetrySeconds(met)
+		w.Header().Set("Retry-After", strconv.Itoa(retry))
+		return writeJSON(w, http.StatusTooManyRequests,
+			&ErrorResponse{Error: err.Error(), RetryAfterSec: retry})
+	case errors.As(err, &failed):
+		return writeRaw(w, failed.status, failed.body)
+	default:
+		st, body := failureStatus(waitCtx, err)
 		return writeRaw(w, st, body)
 	}
 }
 
-// claimFlight returns the flight for key and whether the caller is
-// its creator. Creation passes through the worker semaphore: when it
-// is saturated the request is rejected with 429 + Retry-After instead
-// of queuing. Joining an existing flight never needs a slot.
-func (s *Server) claimFlight(w http.ResponseWriter, met *endpointTrack, key string) (*flight, bool, int) {
-	s.mu.Lock()
-	f, ok := s.flights[key]
-	s.mu.Unlock()
-	if ok {
-		return f, false, 0
+// computeFlight is a flight creator's computation, run holding the
+// worker slot admit took. It is detached from the creator's connection
+// on purpose: it runs under the server lifecycle (forceCtx, so the
+// drain deadline still force-cancels it) capped by the resolved
+// timeout, never under the request context. A flight is shared — if
+// the creating client disconnects, the coalesced waiters still need
+// the result, and the fabric's hedged retries deliberately abandon the
+// slower of two identical requests. The deadline clock starts at
+// admission, before the test hook, so a stalled computation burns its
+// own budget. A success is persisted write-behind to the store.
+func (s *Server) computeFlight(met *endpointTrack, key string, timeoutMS int64, compute func(context.Context) (int, []byte)) ([]byte, error) {
+	defer func() { <-s.sem }()
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	ctx, cancel := context.WithTimeout(s.forceCtx, s.timeout(timeoutMS))
+	defer cancel()
+	if s.computeStarted != nil {
+		s.computeStarted()
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.rejectedBusy.Add(1)
-		retry := busyRetrySeconds(met)
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		return nil, false, writeJSON(w, http.StatusTooManyRequests,
-			&ErrorResponse{Error: "all workers busy", RetryAfterSec: retry})
+
+	start := time.Now()
+	status, body := compute(ctx)
+	if met != nil {
+		// The compute window feeds the backpressure Retry-After hint;
+		// replays and coalesced waits would drag the p50 toward zero,
+		// so only real computations observe.
+		met.compute.Observe(time.Since(start), status >= 400)
 	}
-	s.mu.Lock()
-	if f, ok = s.flights[key]; ok {
-		// Lost the registration race: someone else created the flight
-		// while we acquired the slot. Join them as a plain waiter.
-		s.mu.Unlock()
-		<-s.sem
-		return f, false, 0
+	if status != http.StatusOK {
+		return nil, &failedFlight{status: status, body: body}
 	}
-	f = &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-	return f, true, 0
+	if store := s.cfg.Store; store != nil {
+		s.storeWG.Add(1)
+		go func() {
+			defer s.storeWG.Done()
+			store.Write(key, body)
+		}()
+	}
+	return body, nil
 }
 
 // runner returns the shared runner for a (scale, fidelity), creating
 // it on first use. All requests at a (scale, fidelity) share one
-// runner, so the serving layer inherits its once-caches. The runner's
+// runner, so the serving layer inherits its single-flight caches. The runner's
 // own result cache also keys on fidelity, but separate runners keep
 // the timing counters (and any future per-runner tuning) per
 // methodology.
@@ -861,8 +834,8 @@ func (s *Server) runner(scale int, fid sim.Fidelity) (*experiments.Runner, error
 // endpoint's recent computation latencies: the p50 of the compute
 // window, rounded up to whole seconds and clamped to [1s, 60s]. A
 // saturated client then backs off roughly one computation's worth of
-// time instead of the old hardcoded second; an endpoint that has not
-// computed yet (empty window) falls back to 1.
+// time; an endpoint that has not computed yet (empty window) falls back
+// to 1.
 func busyRetrySeconds(met *endpointTrack) int {
 	if met == nil {
 		return 1
@@ -926,7 +899,7 @@ func decodeBody(r *http.Request, v any) (int, error) {
 // the request tuple with every default normalized (fidelity to
 // "exact", overhead dropped on baseline cells), so equivalent requests
 // always share a flight. The sweep fabric reuses it as the body of its
-// content-addressed result-cache key.
+// cell key.
 func SimFlightKey(workload, config string, scale int, fid sim.Fidelity, overhead bool) string {
 	return fmt.Sprintf("sim/%s/%s/%d/%s/%t", workload, config, scale, fid.OrExact(), overhead)
 }

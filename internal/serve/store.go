@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -13,16 +12,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"watchdog/internal/flight"
 	"watchdog/internal/report"
 )
 
 // The persistent result store has two layers in front of the
 // simulator:
 //
-//   - an in-memory LRU of completed flight bodies, bounded by entry
-//     count. This replaces the old unbounded Server.flights retention
-//     (every successful body kept forever), which grew memory without
-//     bound under a sustained sweep of distinct cells;
+//   - the in-memory LRU of completed flight bodies (Server.cells),
+//     bounded by entry count;
 //   - an optional disk layer, content-addressed by the normalized
 //     flight key under the report schema version. Entries are written
 //     behind flight completion and checksum-verified on read: a
@@ -30,72 +28,14 @@ import (
 //     served. A restarted server pointed at the same directory replays
 //     prior results byte-identically without re-simulating.
 //
+// Neither layer bounds the server's memory by itself: the runners under
+// the flights keep every Result of their finite cell space.
+//
 // The flight key is already the canonical identity of a computation
 // (SimFlightKey/JulietFlightKey normalize every default), and the
 // simulations are deterministic, so replayed bytes are
 // indistinguishable from fresh ones — the same property the in-memory
 // coalescing layer has always leaned on, extended across restarts.
-
-// resultCache is the bounded in-memory LRU of completed flight
-// bodies. Safe for concurrent use.
-type resultCache struct {
-	mu  sync.Mutex
-	max int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
-
-	hits      atomic.Int64
-	evictions atomic.Int64
-}
-
-// cacheEntry is one retained body.
-type cacheEntry struct {
-	key  string
-	body []byte
-}
-
-func newResultCache(max int) *resultCache {
-	return &resultCache{max: max, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-// get returns the body for key, promoting it to most recently used.
-func (c *resultCache) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*cacheEntry).body, true
-}
-
-// put inserts (or refreshes) a body, evicting the least recently used
-// entries past the bound.
-func (c *resultCache) put(key string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).body = body
-		return
-	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-}
-
-// len reports the retained entry count.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
 
 // storeEnvelope is the on-disk format of one entry: the schema
 // version the body was produced under, the flight key it answers, and
@@ -112,51 +52,79 @@ type storeEnvelope struct {
 // key maps to exactly one slot regardless of key length or
 // characters. Safe for concurrent use.
 type Store struct {
-	dir      string
-	maxBytes int64
+	dir string
 
-	// evictMu serializes the size-budget sweeps (reads/writes of
-	// individual entries are already atomic via rename).
-	evictMu sync.Mutex
+	// mu orders every change to the set of entry files (rename into
+	// place, eviction, corrupt removal) with its index update, so the
+	// index matches the directory exactly.
+	mu sync.Mutex
+	// index holds every entry file by name, weighted by its size, in
+	// recency order: past the byte budget the least recently used files
+	// are deleted (never the one just written).
+	index flight.Cache[string, int64]
 
-	diskHits  atomic.Int64
-	misses    atomic.Int64
-	writes    atomic.Int64
-	corrupt   atomic.Int64
-	evictions atomic.Int64
-	bytes     atomic.Int64
+	diskHits atomic.Int64
+	misses   atomic.Int64
+	writes   atomic.Int64
+	corrupt  atomic.Int64
 }
 
 // OpenStore opens (creating if needed) a result store rooted at dir,
 // bounded at maxMB mebibytes of entries (minimum 1). Existing entries
-// are kept — that is the point — and their total size is accounted.
+// are kept — that is the point — and indexed oldest-touched first, so
+// recency survives a restart. Temp files a crashed write left behind
+// are deleted.
 func OpenStore(dir string, maxMB int) (*Store, error) {
+	return openStore(dir, int64(max(maxMB, 1))<<20)
+}
+
+// openStore is OpenStore with the budget in bytes.
+func openStore(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if maxMB < 1 {
-		maxMB = 1
-	}
-	st := &Store{dir: dir, maxBytes: int64(maxMB) << 20}
-	entries, err := st.entries()
+	st := &Store{dir: dir}
+	st.index.MaxWeight = maxBytes
+	st.index.Weigh = func(size int64) int64 { return size }
+	st.index.OnEvict = func(name string, _ int64) { os.Remove(filepath.Join(dir, name)) }
+
+	dirents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var total int64
-	for _, e := range entries {
-		total += e.size
+	type file struct {
+		name  string
+		size  int64
+		mtime time.Time
 	}
-	st.bytes.Store(total)
+	var files []file
+	for _, de := range dirents {
+		if de.IsDir() {
+			continue
+		}
+		switch filepath.Ext(de.Name()) {
+		case ".tmp":
+			os.Remove(filepath.Join(dir, de.Name()))
+		case ".json":
+			if fi, err := de.Info(); err == nil {
+				files = append(files, file{de.Name(), fi.Size(), fi.ModTime()})
+			}
+		}
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
+	for _, f := range files {
+		st.index.Add(f.name, f.size)
+	}
 	return st, nil
 }
 
 // Dir returns the store's root directory.
 func (st *Store) Dir() string { return st.dir }
 
-// path is the entry file for one flight key.
-func (st *Store) path(key string) string {
+// entryName is the entry file name for one flight key.
+func entryName(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(st.dir, hex.EncodeToString(sum[:])+".json")
+	return hex.EncodeToString(sum[:]) + ".json"
 }
 
 // Read returns the stored body for key, verifying the envelope: a
@@ -165,7 +133,8 @@ func (st *Store) path(key string) string {
 // reported as a miss — a corrupt result must be recomputed, never
 // served.
 func (st *Store) Read(key string) ([]byte, bool) {
-	p := st.path(key)
+	n := entryName(key)
+	p := filepath.Join(st.dir, n)
 	data, err := os.ReadFile(p)
 	if err != nil {
 		st.misses.Add(1)
@@ -178,25 +147,29 @@ func (st *Store) Read(key string) ([]byte, bool) {
 		checksum(env.Body) == env.Sum
 	if !ok {
 		st.corrupt.Add(1)
-		if fi, err := os.Stat(p); err == nil {
-			st.bytes.Add(-fi.Size())
-		}
+		st.mu.Lock()
 		os.Remove(p)
+		st.index.Remove(n)
+		st.mu.Unlock()
 		st.misses.Add(1)
 		return nil, false
 	}
 	st.diskHits.Add(1)
-	// Touch the entry so the size-budget eviction (oldest mtime first)
-	// treats it as recently used.
+	// Mark the entry recently used, in the index and on disk (the mtime
+	// orders the index a restart rebuilds).
+	st.index.Get(n)
 	now := time.Now()
 	os.Chtimes(p, now, now)
 	return env.Body, true
 }
 
-// Write persists one completed body under key, then enforces the size
-// budget by evicting the least recently touched entries (never the
-// one just written). Errors are swallowed: the store is a cache — a
-// full or broken disk degrades to recomputation, not to failure.
+// Write persists one completed body under key, then evicts the least
+// recently used entries past the size budget (never the one just
+// written). The body lands in a temp file of its own and is renamed
+// into place, so concurrent writes of one key never share a file and a
+// crash leaves at most a temp file, which the next OpenStore deletes.
+// Errors are swallowed: the store is a cache — a full or broken disk
+// degrades to recomputation, not to failure.
 func (st *Store) Write(key string, body []byte) {
 	env := storeEnvelope{
 		Schema: report.Version,
@@ -208,86 +181,27 @@ func (st *Store) Write(key string, body []byte) {
 	if err != nil {
 		return
 	}
-	p := st.path(key)
-	if fi, err := os.Stat(p); err == nil {
-		st.bytes.Add(-fi.Size()) // overwriting: drop the old size
-	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		os.Remove(tmp)
+	n := entryName(key)
+	f, err := os.CreateTemp(st.dir, n+".*.tmp")
+	if err != nil {
 		return
 	}
-	if err := os.Rename(tmp, p); err != nil {
-		os.Remove(tmp)
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := os.Rename(f.Name(), filepath.Join(st.dir, n)); err != nil {
+		os.Remove(f.Name())
 		return
 	}
 	st.writes.Add(1)
-	st.bytes.Add(int64(len(data)))
-	st.enforceBudget(p)
-}
-
-// storeEntryInfo is one on-disk entry during a budget sweep.
-type storeEntryInfo struct {
-	path  string
-	size  int64
-	mtime int64
-}
-
-// entries lists the store's entry files.
-func (st *Store) entries() ([]storeEntryInfo, error) {
-	dirents, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []storeEntryInfo
-	for _, de := range dirents {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
-			continue
-		}
-		fi, err := de.Info()
-		if err != nil {
-			continue
-		}
-		out = append(out, storeEntryInfo{
-			path:  filepath.Join(st.dir, de.Name()),
-			size:  fi.Size(),
-			mtime: fi.ModTime().UnixNano(),
-		})
-	}
-	return out, nil
-}
-
-// enforceBudget evicts oldest-touched entries until the store fits
-// its byte budget, sparing the just-written file.
-func (st *Store) enforceBudget(justWrote string) {
-	if st.bytes.Load() <= st.maxBytes {
-		return
-	}
-	st.evictMu.Lock()
-	defer st.evictMu.Unlock()
-	entries, err := st.entries()
-	if err != nil {
-		return
-	}
-	var total int64
-	for _, e := range entries {
-		total += e.size
-	}
-	st.bytes.Store(total)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime < entries[j].mtime })
-	for _, e := range entries {
-		if total <= st.maxBytes {
-			break
-		}
-		if e.path == justWrote {
-			continue
-		}
-		if os.Remove(e.path) == nil {
-			total -= e.size
-			st.evictions.Add(1)
-		}
-	}
-	st.bytes.Store(total)
+	st.index.Add(n, int64(len(data)))
 }
 
 // StoreMetrics is the store's slice of the /metrics document (both
@@ -311,18 +225,20 @@ type StoreMetrics struct {
 
 // storeMetrics assembles the two layers' counters.
 func (s *Server) storeMetrics() StoreMetrics {
+	cs := s.cells.Stats()
 	m := StoreMetrics{
-		CacheEntries:   s.cache.len(),
-		CacheMax:       s.cache.max,
-		CacheHits:      s.cache.hits.Load(),
-		CacheEvictions: s.cache.evictions.Load(),
+		CacheEntries:   cs.Len,
+		CacheMax:       s.cfg.CacheEntries,
+		CacheHits:      cs.Hits,
+		CacheEvictions: cs.Evictions,
 	}
 	if st := s.cfg.Store; st != nil {
+		is := st.index.Stats()
 		m.DiskHits = st.diskHits.Load()
 		m.DiskMisses = st.misses.Load()
 		m.DiskWrites = st.writes.Load()
-		m.DiskBytes = st.bytes.Load()
-		m.DiskEvictions = st.evictions.Load()
+		m.DiskBytes = is.Weight
+		m.DiskEvictions = is.Evictions
 		m.CorruptEvicted = st.corrupt.Load()
 	}
 	return m

@@ -7,9 +7,10 @@ import (
 
 // TokenBucket is a classic token-bucket rate limiter: the bucket
 // refills at a fixed rate up to a burst ceiling, and each Take spends
-// one token. It sits beside Counter/Gauge/Histogram as a serving-layer
-// primitive — the gateway keys one bucket per tenant — and is
-// clock-injectable so refill arithmetic is testable without sleeping.
+// one token. It sits beside Histogram and LatencyWindow as a
+// serving-layer primitive — the gateway keys one bucket per tenant —
+// and is clock-injectable so refill arithmetic is testable without
+// sleeping.
 // Safe for concurrent use.
 type TokenBucket struct {
 	mu     sync.Mutex
