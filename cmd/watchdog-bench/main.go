@@ -461,27 +461,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "watchdog-bench: skipping -trend append: this run is partial")
 		} else {
 			pt := report.BenchPoint(*trendLabel, rec)
-			pt.UnixNanos = time.Now().UnixNano()
-			tr, err := report.AppendTrajectory(*trend, pt)
+			n, regs, err := report.AppendTrend(*trend, *trendGate, pt)
 			if err != nil {
 				return fail(err)
 			}
-			fmt.Fprintf(stderr, "watchdog-bench: appended %s to %s (%d points)\n", pt.Key, *trend, len(tr.Points))
-			if *trendGate > 0 {
-				// Gate only on the key this run appended: older pairs in a
-				// shared trend file are someone else's history.
-				regressed := false
-				for _, reg := range tr.Regressed(*trendGate) {
-					if reg.Key != pt.Key {
-						continue
-					}
-					regressed = true
-					fmt.Fprintf(stderr, "watchdog-bench: trend regression: %s %s %.4g -> %.4g (%+.1f%%)\n",
-						reg.Key, reg.Metric, reg.Prev, reg.Curr, reg.DeltaPct)
-				}
-				if regressed {
-					return 1
-				}
+			fmt.Fprintf(stderr, "watchdog-bench: appended %s to %s (%d points)\n", pt.Key, *trend, n)
+			for _, reg := range regs {
+				fmt.Fprintf(stderr, "watchdog-bench: trend regression: %s %s %.4g -> %.4g (%+.1f%%)\n",
+					reg.Key, reg.Metric, reg.Prev, reg.Curr, reg.DeltaPct)
+			}
+			if len(regs) > 0 {
+				return 1
 			}
 		}
 	}

@@ -246,32 +246,17 @@ func runLoad(ctx context.Context, spec loadgen.Spec, loadOut, trend, trendLabel 
 	}
 	if trend != "" {
 		pts := report.LoadPoints(trendLabel, lr)
-		now := time.Now().UnixNano()
-		appended := make(map[string]bool, len(pts))
-		for i := range pts {
-			pts[i].UnixNanos = now
-			appended[pts[i].Key] = true
-		}
-		tr, err := report.AppendTrajectory(trend, pts...)
+		n, regs, err := report.AppendTrend(trend, trendGate, pts...)
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stderr, "watchdog-serve: appended %d points to %s (%d total)\n", len(pts), trend, len(tr.Points))
-		if trendGate > 0 {
-			// Gate only on the keys this sweep appended: older pairs in
-			// a shared trend file are someone else's history.
-			regressed := false
-			for _, reg := range tr.Regressed(trendGate) {
-				if !appended[reg.Key] {
-					continue
-				}
-				regressed = true
-				fmt.Fprintf(stderr, "watchdog-serve: trend regression: %s %s %.4g -> %.4g (%+.1f%%)\n",
-					reg.Key, reg.Metric, reg.Prev, reg.Curr, reg.DeltaPct)
-			}
-			if regressed {
-				return 1
-			}
+		fmt.Fprintf(stderr, "watchdog-serve: appended %d points to %s (%d total)\n", len(pts), trend, n)
+		for _, reg := range regs {
+			fmt.Fprintf(stderr, "watchdog-serve: trend regression: %s %s %.4g -> %.4g (%+.1f%%)\n",
+				reg.Key, reg.Metric, reg.Prev, reg.Curr, reg.DeltaPct)
+		}
+		if len(regs) > 0 {
+			return 1
 		}
 	}
 

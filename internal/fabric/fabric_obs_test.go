@@ -190,7 +190,8 @@ func TestHedgeLogging(t *testing.T) {
 }
 
 // TestWritePromStats: the fabric exposition carries the coordinator
-// counters and per-worker series with worker labels.
+// counters and per-worker series with worker labels, grouped by
+// family.
 func TestWritePromStats(t *testing.T) {
 	fs := report.FabricStats{
 		CellsSent: 12, Hedged: 2, Retried: 1, CacheHits: 30, Ejections: 1,
@@ -201,22 +202,48 @@ func TestWritePromStats(t *testing.T) {
 	}
 	var p stats.PromWriter
 	WritePromStats(&p, fs)
-	doc := p.String()
-	for _, want := range []string{
-		"# TYPE watchdog_fabric_cells_sent_total counter",
-		"watchdog_fabric_cells_sent_total 12",
-		"watchdog_fabric_cache_hits_total 30",
-		`watchdog_fabric_worker_alive{worker="http://a:1"} 1`,
-		`watchdog_fabric_worker_alive{worker="http://b:2"} 0`,
-		`watchdog_fabric_worker_requests_total{worker="http://b:2"} 4`,
-		`watchdog_fabric_worker_latency_window_seconds{worker="http://a:1",quantile="0.99"} 0.02`,
-	} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("exposition missing %q:\n%s", want, doc)
-		}
-	}
-	if n := strings.Count(doc, "# TYPE watchdog_fabric_worker_alive gauge"); n != 1 {
-		t.Errorf("worker_alive TYPE emitted %d times", n)
+	// Each family is written once with both workers' samples together,
+	// although WritePromStats loops worker by worker.
+	const want = `# HELP watchdog_fabric_cells_sent_total Cell requests issued to workers, hedges and retries included.
+# TYPE watchdog_fabric_cells_sent_total counter
+watchdog_fabric_cells_sent_total 12
+# HELP watchdog_fabric_hedges_total Cells that got a second racing request after the hedge delay.
+# TYPE watchdog_fabric_hedges_total counter
+watchdog_fabric_hedges_total 2
+# HELP watchdog_fabric_retries_total Cell re-issues after a failed placement round.
+# TYPE watchdog_fabric_retries_total counter
+watchdog_fabric_retries_total 1
+# HELP watchdog_fabric_cache_hits_total Always 0: the coordinator keeps no cells (the runner it serves does).
+# TYPE watchdog_fabric_cache_hits_total counter
+watchdog_fabric_cache_hits_total 30
+# HELP watchdog_fabric_ejections_total Workers marked dead (live-to-dead edges only).
+# TYPE watchdog_fabric_ejections_total counter
+watchdog_fabric_ejections_total 1
+# HELP watchdog_fabric_worker_alive 1 while the worker is routable, 0 while ejected.
+# TYPE watchdog_fabric_worker_alive gauge
+watchdog_fabric_worker_alive{worker="http://a:1"} 1
+watchdog_fabric_worker_alive{worker="http://b:2"} 0
+# HELP watchdog_fabric_worker_requests_total Cell requests this worker received.
+# TYPE watchdog_fabric_worker_requests_total counter
+watchdog_fabric_worker_requests_total{worker="http://a:1"} 8
+watchdog_fabric_worker_requests_total{worker="http://b:2"} 4
+# HELP watchdog_fabric_worker_errors_total Cell requests this worker failed (transport or non-200).
+# TYPE watchdog_fabric_worker_errors_total counter
+watchdog_fabric_worker_errors_total{worker="http://a:1"} 0
+watchdog_fabric_worker_errors_total{worker="http://b:2"} 4
+# HELP watchdog_fabric_worker_latency_window Observations covered by the worker's percentile gauges.
+# TYPE watchdog_fabric_worker_latency_window gauge
+watchdog_fabric_worker_latency_window{worker="http://a:1"} 8
+watchdog_fabric_worker_latency_window{worker="http://b:2"} 4
+# HELP watchdog_fabric_worker_latency_window_seconds Exact latency percentiles over the worker's bounded recent-request window.
+# TYPE watchdog_fabric_worker_latency_window_seconds gauge
+watchdog_fabric_worker_latency_window_seconds{worker="http://a:1",quantile="0.5"} 0.004
+watchdog_fabric_worker_latency_window_seconds{worker="http://a:1",quantile="0.99"} 0.02
+watchdog_fabric_worker_latency_window_seconds{worker="http://b:2",quantile="0.5"} 0.1
+watchdog_fabric_worker_latency_window_seconds{worker="http://b:2",quantile="0.99"} 0.9
+`
+	if got := p.String(); got != want {
+		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 
 	// The live handler serves the same families.

@@ -10,9 +10,9 @@ import (
 // WritePromStats renders one FabricStats snapshot as Prometheus
 // metric families onto p: the coordinator counters plus the
 // per-worker gauges (alive, requests, errors, window percentiles),
-// each worker labeled by its normalized address. Workers render in
-// snapshot (registration) order, so the document is byte-stable for a
-// stable fleet.
+// each worker labeled by its normalized address. Within each family,
+// workers render in snapshot (registration) order, so the document is
+// byte-stable for a stable fleet.
 func WritePromStats(p *stats.PromWriter, fs report.FabricStats) {
 	p.Counter("watchdog_fabric_cells_sent_total",
 		"Cell requests issued to workers, hedges and retries included.",
@@ -31,31 +31,21 @@ func WritePromStats(p *stats.PromWriter, fs report.FabricStats) {
 		nil, float64(fs.Ejections))
 	for _, w := range fs.Workers {
 		labels := []stats.Label{{Name: "worker", Value: w.Addr}}
-		p.Gauge("watchdog_fabric_worker_alive",
+		p.BoolGauge("watchdog_fabric_worker_alive",
 			"1 while the worker is routable, 0 while ejected.",
-			labels, boolGauge(w.Alive))
+			labels, w.Alive)
 		p.Counter("watchdog_fabric_worker_requests_total",
 			"Cell requests this worker received.",
 			labels, float64(w.Requests))
 		p.Counter("watchdog_fabric_worker_errors_total",
 			"Cell requests this worker failed (transport or non-200).",
 			labels, float64(w.Errors))
-		p.Gauge("watchdog_fabric_worker_latency_window",
+		p.Window("watchdog_fabric_worker_latency_window",
 			"Observations covered by the worker's percentile gauges.",
-			labels, float64(w.Window))
-		for _, q := range []struct {
-			quantile string
-			milli    float64
-		}{
-			{"0.5", w.P50Milli},
-			{"0.99", w.P99Milli},
-		} {
-			p.Gauge("watchdog_fabric_worker_latency_window_seconds",
-				"Exact latency percentiles over the worker's bounded recent-request window.",
-				append(append([]stats.Label{}, labels...),
-					stats.Label{Name: "quantile", Value: q.quantile}),
-				q.milli/1e3)
-		}
+			"Exact latency percentiles over the worker's bounded recent-request window.",
+			labels, w.Window,
+			stats.Quantile{Label: "0.5", Milli: w.P50Milli},
+			stats.Quantile{Label: "0.99", Milli: w.P99Milli})
 	}
 }
 
@@ -71,11 +61,4 @@ func (c *Coordinator) PromHandler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte(p.String()))
 	})
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -31,6 +31,7 @@ import (
 
 	"watchdog/internal/report"
 	"watchdog/internal/serve"
+	"watchdog/internal/stats"
 )
 
 // Spec configures one saturation sweep. Zero values take defaults.
@@ -257,24 +258,16 @@ func runStep(ctx context.Context, client *http.Client, base, apiKey string, conc
 		step.ThroughputRPS = float64(ok) / sec
 	}
 	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		step.P50Milli = milli(nearestRank(lats, 50))
-		step.P99Milli = milli(nearestRank(lats, 99))
+		step.P50Milli, step.P99Milli = percentiles(lats)
 	}
 	return step, nil
 }
 
-// nearestRank reads the p-th percentile from sorted latencies.
-func nearestRank(sorted []time.Duration, p int) time.Duration {
-	idx := (p*len(sorted) + 99) / 100
-	if idx > 0 {
-		idx--
-	}
-	return sorted[idx]
-}
-
-func milli(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
+// percentiles sorts lats in place and reads their nearest-rank p50
+// and p99 in milliseconds.
+func percentiles(lats []time.Duration) (p50, p99 float64) {
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return stats.PercentileMilli(lats, 50), stats.PercentileMilli(lats, 99)
 }
 
 // ParseMix parses a "sim=90,juliet=10" mix string. Omitted parts are

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"watchdog/internal/report"
 	"watchdog/internal/serve"
@@ -198,5 +199,28 @@ func TestParseMixAndSteps(t *testing.T) {
 	}
 	if _, err := ParseSteps("1,zero"); err == nil {
 		t.Error("garbage step accepted")
+	}
+}
+
+// TestPercentilesNearestRank pins the step percentiles for fixed
+// latency sets: nearest rank over the sorted set, in milliseconds, so
+// watchdog-load documents keep their numbers.
+func TestPercentilesNearestRank(t *testing.T) {
+	var desc []time.Duration
+	for i := 200; i >= 1; i-- {
+		desc = append(desc, time.Duration(i)*time.Millisecond)
+	}
+	for _, tc := range []struct {
+		name     string
+		lats     []time.Duration
+		p50, p99 float64
+	}{
+		{"one", []time.Duration{1500 * time.Microsecond}, 1.5, 1.5},
+		{"three", []time.Duration{3 * time.Millisecond, time.Millisecond, 2 * time.Millisecond}, 2, 3},
+		{"200 descending", desc, 100, 198},
+	} {
+		if p50, p99 := percentiles(tc.lats); p50 != tc.p50 || p99 != tc.p99 {
+			t.Errorf("%s: p50 %v p99 %v, want %v and %v", tc.name, p50, p99, tc.p50, tc.p99)
+		}
 	}
 }

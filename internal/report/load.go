@@ -1,11 +1,5 @@
 package report
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
-
 const (
 	// LoadSchema identifies a saturation-sweep document
 	// (`watchdog-serve -load`).
@@ -80,20 +74,9 @@ func WriteLoadFile(path string, l *LoadReport) error {
 // ReadLoadFile loads and validates a document written by
 // WriteLoadFile.
 func ReadLoadFile(path string) (*LoadReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var l LoadReport
-	if err := json.Unmarshal(data, &l); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if l.Schema != LoadSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, l.Schema, LoadSchema)
-	}
-	if l.Version < 1 || l.Version > Version {
-		return nil, fmt.Errorf("%s: schema version %d not supported (this build understands 1..%d)",
-			path, l.Version, Version)
+	if err := readDocument(path, LoadSchema, &l); err != nil {
+		return nil, err
 	}
 	return &l, nil
 }

@@ -146,3 +146,37 @@ func TestTrajectoryValidation(t *testing.T) {
 		t.Error("AppendTrajectory overwrote a foreign file")
 	}
 }
+
+// TestAppendTrendGatesAppendedKeys: a trend step stamps its points,
+// reports the file's total, and returns only regressions on the keys
+// it appended — another key's regressed pair in the same file is not
+// this run's to report. A zero threshold appends without comparing.
+func TestAppendTrendGatesAppendedKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trend.json")
+	pt := func(key string, wall int64) TrajectoryPoint {
+		return TrajectoryPoint{Key: key, WallNanos: wall}
+	}
+	if _, err := AppendTrajectory(path, pt("other", 1e9), pt("other", 3e9), pt("mine", 1e9)); err != nil {
+		t.Fatal(err)
+	}
+	n, regs, err := AppendTrend(path, 10, pt("mine", 1e9))
+	if err != nil || n != 4 || len(regs) != 0 {
+		t.Fatalf("steady run: %d points, regressions %+v, err %v", n, regs, err)
+	}
+	n, regs, err = AppendTrend(path, 10, pt("mine", 2e9))
+	if err != nil || n != 5 || len(regs) != 1 || regs[0].Key != "mine" || regs[0].Metric != "wall_nanos" {
+		t.Fatalf("slowed run: %d points, regressions %+v, err %v", n, regs, err)
+	}
+	if n, regs, err = AppendTrend(path, 0, pt("mine", 9e9)); err != nil || n != 6 || regs != nil {
+		t.Fatalf("append-only run: %d points, regressions %+v, err %v", n, regs, err)
+	}
+	tr, err := ReadTrajectoryFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range tr.Points[3:] {
+		if p.UnixNanos <= 0 {
+			t.Errorf("appended point not stamped: %+v", p)
+		}
+	}
+}

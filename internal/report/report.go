@@ -194,22 +194,40 @@ func WriteFile(path string, r *Report) error {
 
 // ReadFile loads and validates a report written by WriteFile.
 func ReadFile(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
+	var r Report
+	if err := readDocument(path, Schema, &r); err != nil {
 		return nil, err
 	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, Schema)
-	}
-	if r.Version < 1 || r.Version > Version {
-		return nil, fmt.Errorf("%s: schema version %d not supported (this build understands 1..%d)",
-			path, r.Version, Version)
-	}
 	return &r, nil
+}
+
+// readDocument loads the JSON document at path into v: it decodes the
+// schema/version header first, refuses a schema other than want or a
+// version outside 1..Version, then decodes the body. A missing file
+// returns the underlying os error.
+func readDocument(path, want string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var head struct {
+		Schema  string `json:"schema"`
+		Version int    `json:"version"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if head.Schema != want {
+		return fmt.Errorf("%s: schema %q, want %q", path, head.Schema, want)
+	}
+	if head.Version < 1 || head.Version > Version {
+		return fmt.Errorf("%s: schema version %d not supported (this build understands 1..%d)",
+			path, head.Version, Version)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 // BenchReport is the harness-timing document behind `watchdog-bench
@@ -308,20 +326,9 @@ func WriteBenchFile(path string, b *BenchReport) error {
 // ReadBenchFile loads and validates a document written by
 // WriteBenchFile.
 func ReadBenchFile(path string) (*BenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var b BenchReport
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.Schema != BenchSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, b.Schema, BenchSchema)
-	}
-	if b.Version < 1 || b.Version > Version {
-		return nil, fmt.Errorf("%s: schema version %d not supported (this build understands 1..%d)",
-			path, b.Version, Version)
+	if err := readDocument(path, BenchSchema, &b); err != nil {
+		return nil, err
 	}
 	return &b, nil
 }

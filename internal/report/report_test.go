@@ -1,6 +1,9 @@
 package report
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -233,6 +236,54 @@ func TestCompareStructuralNotes(t *testing.T) {
 	for _, want := range []string{"mcf/isa", "fig9/isa", "scale mismatch"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("notes %q missing %q", joined, want)
+		}
+	}
+}
+
+// TestReadersRejectBadDocuments runs every schema-checked reader over
+// the same bad inputs: each refuses a foreign schema, version 0, a
+// version newer than this build and malformed JSON with the same
+// error texts, and accepts its own minimal document.
+func TestReadersRejectBadDocuments(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, rd := range []struct {
+		schema string
+		read   func(string) error
+	}{
+		{Schema, func(p string) error { _, err := ReadFile(p); return err }},
+		{BenchSchema, func(p string) error { _, err := ReadBenchFile(p); return err }},
+		{LoadSchema, func(p string) error { _, err := ReadLoadFile(p); return err }},
+		{TrajectorySchema, func(p string) error { _, err := ReadTrajectoryFile(p); return err }},
+	} {
+		doc := func(schema string, version int) string {
+			return write(rd.schema+".json", fmt.Sprintf(`{"schema":%q,"version":%d}`, schema, version))
+		}
+		p := doc(rd.schema, Version)
+		if err := rd.read(p); err != nil {
+			t.Errorf("%s: minimal document refused: %v", rd.schema, err)
+		}
+		p = doc("other", Version)
+		if err := rd.read(p); err == nil || err.Error() != fmt.Sprintf("%s: schema %q, want %q", p, "other", rd.schema) {
+			t.Errorf("%s: wrong schema: %v", rd.schema, err)
+		}
+		for _, v := range []int{0, Version + 1} {
+			p = doc(rd.schema, v)
+			want := fmt.Sprintf("%s: schema version %d not supported (this build understands 1..%d)", p, v, Version)
+			if err := rd.read(p); err == nil || err.Error() != want {
+				t.Errorf("%s: version %d: got %v, want %q", rd.schema, v, err, want)
+			}
+		}
+		p = write(rd.schema+".json", `{"schema":`)
+		var syntax *json.SyntaxError
+		if err := rd.read(p); !errors.As(err, &syntax) || !strings.HasPrefix(err.Error(), p+": ") {
+			t.Errorf("%s: malformed JSON: %v", rd.schema, err)
 		}
 	}
 }

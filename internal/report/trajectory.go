@@ -1,9 +1,9 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
+	"time"
 )
 
 // Trajectory is the cross-run performance trend file: each tracked
@@ -92,23 +92,41 @@ func AppendTrajectory(path string, pts ...TrajectoryPoint) (*Trajectory, error) 
 	return t, nil
 }
 
+// AppendTrend is one trend step of a tracked run: it stamps pts with
+// the current time, appends them to the trend file at path, and
+// returns the file's point count. With thresholdPct > 0 it also
+// returns the regressions past that threshold on the keys this run
+// appended — older pairs in a shared trend file are someone else's
+// history.
+func AppendTrend(path string, thresholdPct float64, pts ...TrajectoryPoint) (int, []TrajectoryRegression, error) {
+	now := time.Now().UnixNano()
+	appended := make(map[string]bool, len(pts))
+	for i := range pts {
+		pts[i].UnixNanos = now
+		appended[pts[i].Key] = true
+	}
+	t, err := AppendTrajectory(path, pts...)
+	if err != nil {
+		return 0, nil, err
+	}
+	if thresholdPct <= 0 {
+		return len(t.Points), nil, nil
+	}
+	var regs []TrajectoryRegression
+	for _, r := range t.Regressed(thresholdPct) {
+		if appended[r.Key] {
+			regs = append(regs, r)
+		}
+	}
+	return len(t.Points), regs, nil
+}
+
 // ReadTrajectoryFile loads and validates a trend file. A missing file
 // returns the underlying os.IsNotExist error.
 func ReadTrajectoryFile(path string) (*Trajectory, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var t Trajectory
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if t.Schema != TrajectorySchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, t.Schema, TrajectorySchema)
-	}
-	if t.Version < 1 || t.Version > Version {
-		return nil, fmt.Errorf("%s: schema version %d not supported (this build understands 1..%d)",
-			path, t.Version, Version)
+	if err := readDocument(path, TrajectorySchema, &t); err != nil {
+		return nil, err
 	}
 	return &t, nil
 }

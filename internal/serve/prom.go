@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"net/http"
 	"strings"
 	"time"
 
@@ -19,88 +18,72 @@ func wantsProm(accept string) bool {
 		strings.Contains(accept, "openmetrics")
 }
 
-// writeProm renders the server state as a Prometheus text-exposition
-// document, returning the status written. The same state always
-// renders byte-identically: endpoints are walked in a fixed order,
-// tenants in sorted order, and PromWriter emits families in first-use
+// renderProm renders one /metrics snapshot as a Prometheus
+// text-exposition document. It reads nothing but m, so the JSON and
+// Prometheus views of one scrape cannot disagree. The same snapshot
+// always renders byte-identically: endpoints in a fixed order, tenants
+// in sorted order, and PromWriter groups each family in first-use
 // order.
-func (s *Server) writeProm(w http.ResponseWriter) int {
+func renderProm(m *Metrics) string {
 	var p stats.PromWriter
 
 	p.Gauge("watchdog_serve_uptime_seconds",
 		"Seconds since the server started.",
-		nil, time.Since(s.start).Seconds())
-	p.Gauge("watchdog_serve_draining",
+		nil, time.Duration(m.UptimeNanos).Seconds())
+	p.BoolGauge("watchdog_serve_draining",
 		"1 while the server is draining (refusing new work), else 0.",
-		nil, boolGauge(s.draining.Load()))
+		nil, m.Draining)
 	p.Gauge("watchdog_serve_inflight",
 		"Computations currently executing (coalesced waiters excluded).",
-		nil, float64(s.inflight.Load()))
+		nil, float64(m.Inflight))
 	p.Counter("watchdog_serve_coalesced_total",
 		"Requests that joined an existing flight instead of computing.",
-		nil, float64(s.coalesced.Load()))
-	p.Counter("watchdog_serve_rejected_total",
-		"Requests refused before reaching a flight, by reason.",
-		[]stats.Label{{Name: "reason", Value: "busy"}}, float64(s.rejectedBusy.Load()))
-	p.Counter("watchdog_serve_rejected_total",
-		"Requests refused before reaching a flight, by reason.",
-		[]stats.Label{{Name: "reason", Value: "draining"}}, float64(s.rejectedDraining.Load()))
-	p.Counter("watchdog_serve_rejected_total",
-		"Requests refused before reaching a flight, by reason.",
-		[]stats.Label{{Name: "reason", Value: "unauthorized"}}, float64(s.rejectedUnauthorized.Load()))
-	p.Counter("watchdog_serve_rejected_total",
-		"Requests refused before reaching a flight, by reason.",
-		[]stats.Label{{Name: "reason", Value: "limited"}}, float64(s.rejectedLimited.Load()))
+		nil, float64(m.Coalesced))
+	for _, r := range []struct {
+		reason string
+		n      int64
+	}{
+		{"busy", m.RejectedBusy},
+		{"draining", m.RejectedDraining},
+		{"unauthorized", m.RejectedUnauthorized},
+		{"limited", m.RejectedLimited},
+	} {
+		p.Counter("watchdog_serve_rejected_total",
+			"Requests refused before reaching a flight, by reason.",
+			[]stats.Label{{Name: "reason", Value: r.reason}}, float64(r.n))
+	}
 	p.Counter("watchdog_serve_timeouts_total",
 		"Requests answered 504 (deadline expired mid-computation).",
-		nil, float64(s.timedOut.Load()))
+		nil, float64(m.TimedOut))
 
-	// Endpoints render in a fixed order so the document is stable.
-	for _, ep := range []struct {
-		name string
-		met  *endpointTrack
-	}{
-		{"sim", &s.simMet},
-		{"juliet", &s.julietMet},
-	} {
-		labels := []stats.Label{{Name: "endpoint", Value: ep.name}}
-		snap := ep.met.win.Snapshot()
+	for _, name := range []string{"sim", "juliet"} {
+		e := m.Endpoints[name]
+		labels := []stats.Label{{Name: "endpoint", Value: name}}
 		p.Counter("watchdog_serve_requests_total",
 			"Requests served, by endpoint.",
-			labels, float64(snap.Requests))
+			labels, float64(e.Requests))
 		p.Counter("watchdog_serve_request_errors_total",
 			"Requests answered with a 4xx/5xx status, by endpoint.",
-			labels, float64(snap.Errors))
+			labels, float64(e.Errors))
 		// The window percentiles are exact but describe only the most
 		// recent observations (watchdog_serve_latency_window of them);
 		// the histogram below is the mergeable view.
-		p.Gauge("watchdog_serve_latency_window",
+		p.Window("watchdog_serve_latency_window",
 			"Observations covered by the window percentile gauges (bounded ring).",
-			labels, float64(snap.Window))
-		for _, q := range []struct {
-			quantile string
-			milli    float64
-		}{
-			{"0.5", snap.P50Milli},
-			{"0.9", snap.P90Milli},
-			{"0.99", snap.P99Milli},
-		} {
-			p.Gauge("watchdog_serve_latency_window_seconds",
-				"Exact latency percentiles over the bounded recent-request window.",
-				append(append([]stats.Label{}, labels...),
-					stats.Label{Name: "quantile", Value: q.quantile}),
-				q.milli/1e3)
-		}
+			"Exact latency percentiles over the bounded recent-request window.",
+			labels, e.Window,
+			stats.Quantile{Label: "0.5", Milli: e.P50Milli},
+			stats.Quantile{Label: "0.9", Milli: e.P90Milli},
+			stats.Quantile{Label: "0.99", Milli: e.P99Milli})
 		p.Histogram("watchdog_serve_request_duration_seconds",
 			"Request latency distribution, by endpoint.",
-			labels, ep.met.hist.Snapshot())
+			labels, e.Hist)
 	}
 
 	// Tenant rows render in sorted-name order (none on an idle server,
 	// so back-to-back idle scrapes stay byte-identical).
-	tenants := s.limiter.snapshot()
-	for _, name := range tenantNames(tenants) {
-		tm := tenants[name]
+	for _, name := range tenantNames(m.Tenants) {
+		tm := m.Tenants[name]
 		labels := []stats.Label{{Name: "tenant", Value: name}}
 		p.Counter("watchdog_serve_tenant_requests_total",
 			"Admission attempts on /v1/* endpoints, by tenant (refusals included).",
@@ -114,7 +97,7 @@ func (s *Server) writeProm(w http.ResponseWriter) int {
 	}
 
 	// Result store: the in-memory LRU and the optional disk layer.
-	sm := s.storeMetrics()
+	sm := m.Store
 	p.Gauge("watchdog_serve_result_cache_entries",
 		"Completed flight bodies retained in the in-memory LRU.",
 		nil, float64(sm.CacheEntries))
@@ -140,8 +123,7 @@ func (s *Server) writeProm(w http.ResponseWriter) int {
 		"Disk entries that failed verification and were evicted, not served.",
 		nil, float64(sm.CorruptEvicted))
 
-	// Harness counters: the same snapshot the JSON document reports.
-	h := s.harnessMetrics()
+	h := m.Harness
 	p.Counter("watchdog_harness_sims_total",
 		"Timed simulations executed by the shared runners.",
 		nil, float64(h.Sims))
@@ -157,16 +139,5 @@ func (s *Server) writeProm(w http.ResponseWriter) int {
 	p.Gauge("watchdog_harness_cache_hit_ratio",
 		"Cache hits / (hits + sims) since start.",
 		nil, h.CacheHitRatio)
-
-	w.Header().Set("Content-Type", stats.PromContentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte(p.String()))
-	return http.StatusOK
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	return p.String()
 }

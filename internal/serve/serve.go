@@ -221,6 +221,7 @@ type Metrics struct {
 	RejectedUnauthorized int64 `json:"rejected_unauthorized,omitempty"`
 	RejectedLimited      int64 `json:"rejected_limited,omitempty"`
 
+	// Endpoints holds the "sim" and "juliet" rows.
 	Endpoints map[string]EndpointMetrics `json:"endpoints"`
 	// Tenants has one row per tenant seen since start (absent until the
 	// first /v1/* admission attempt).
@@ -229,6 +230,14 @@ type Metrics struct {
 	Store   StoreMetrics   `json:"store"`
 	Harness HarnessMetrics `json:"harness"`
 }
+
+// EndpointMetrics is one endpoint's slice of the /metrics document.
+// Percentiles cover the most recent requests (a bounded window — the
+// `window` field says how many observations they describe; see
+// stats.LatencySnapshot for the ring semantics) and are zero until
+// the endpoint has served at least one. Its histogram renders only in
+// the Prometheus view.
+type EndpointMetrics = stats.LatencySnapshot
 
 // HarnessMetrics aggregates the runner timing counters across every
 // scale the server has simulated at, plus the security suite.
@@ -247,6 +256,18 @@ type HarnessMetrics struct {
 type runnerKey struct {
 	scale int
 	fid   sim.Fidelity
+}
+
+// endpointTrack is one endpoint's accounting.
+type endpointTrack struct {
+	// all observes every request the endpoint answers, once; it backs
+	// the endpoint's row in both /metrics views.
+	all stats.LatencyWindow
+	// compute observes only actual computations (flight creators, wall
+	// time of the compute callback) — never replays or coalesced waits,
+	// whose sub-millisecond latencies would drag the percentiles toward
+	// zero. Its p50 drives the backpressure 429's Retry-After hint.
+	compute stats.LatencyWindow
 }
 
 // Server is the simulation service. Create with New, mount Handler on
@@ -320,8 +341,6 @@ func New(cfg Config) *Server {
 	s.cells.MaxWeight = int64(cfg.CacheEntries)
 	s.cells.Admit = s.admit
 	s.cells.OnShare = func() { s.coalesced.Add(1) }
-	s.simMet.hist = stats.NewHistogram()
-	s.julietMet.hist = stats.NewHistogram()
 	s.forceCtx, s.forceStop = context.WithCancel(context.Background())
 	return s
 }
@@ -419,8 +438,7 @@ func (s *Server) timed(met *endpointTrack, fn func(http.ResponseWriter, *http.Re
 
 		elapsed := time.Since(start)
 		if met != nil {
-			met.win.Observe(elapsed, status >= 400)
-			met.hist.Observe(elapsed)
+			met.all.Observe(elapsed, status >= 400)
 			if status == http.StatusGatewayTimeout {
 				s.timedOut.Add(1)
 			}
@@ -486,12 +504,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 // Accept header asking for text/plain (or OpenMetrics) gets the
 // Prometheus text exposition; everything else — including curl's
 // default */* — gets the JSON document, byte-compatible with the
-// pre-Prometheus schema.
+// pre-Prometheus schema. Both views render one snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
+	m := s.metrics()
 	if wantsProm(r.Header.Get("Accept")) {
-		return s.writeProm(w)
+		w.Header().Set("Content-Type", stats.PromContentType)
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, renderProm(m))
+		return http.StatusOK
 	}
-	m := Metrics{
+	return writeJSON(w, http.StatusOK, m)
+}
+
+// metrics takes the one snapshot of the server state that both
+// /metrics views render.
+func (s *Server) metrics() *Metrics {
+	return &Metrics{
 		Schema:      Schema,
 		Version:     Version,
 		UptimeNanos: time.Since(s.start).Nanoseconds(),
@@ -506,18 +534,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		RejectedLimited:      s.rejectedLimited.Load(),
 
 		Endpoints: map[string]EndpointMetrics{
-			"sim":    s.simMet.win.Snapshot(),
-			"juliet": s.julietMet.win.Snapshot(),
+			"sim":    s.simMet.all.Snapshot(),
+			"juliet": s.julietMet.all.Snapshot(),
 		},
 		Tenants: s.limiter.snapshot(),
 		Store:   s.storeMetrics(),
 		Harness: s.harnessMetrics(),
 	}
-	return writeJSON(w, http.StatusOK, &m)
 }
 
 // harnessMetrics sums the runners' timing counters and the security
-// suite's into the one snapshot both /metrics views render.
+// suite's.
 func (s *Server) harnessMetrics() HarnessMetrics {
 	var h HarnessMetrics
 	s.mu.Lock()

@@ -7,8 +7,8 @@ import (
 
 // TokenBucket is a classic token-bucket rate limiter: the bucket
 // refills at a fixed rate up to a burst ceiling, and each Take spends
-// one token. It sits beside Histogram and LatencyWindow as a
-// serving-layer primitive — the gateway keys one bucket per tenant —
+// one token. It sits beside LatencyWindow as a serving-layer
+// primitive — the gateway keys one bucket per tenant —
 // and is clock-injectable so refill arithmetic is testable without
 // sleeping.
 // Safe for concurrent use.

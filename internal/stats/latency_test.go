@@ -43,7 +43,9 @@ func TestPercentileWindow(t *testing.T) {
 // that distinguishes "no data" from "fast".
 func TestLatencyWindowEmpty(t *testing.T) {
 	var e LatencyWindow
-	if m := e.Snapshot(); m != (LatencySnapshot{}) {
+	if m := e.Snapshot(); m.Requests != 0 || m.Errors != 0 || m.Window != 0 ||
+		m.P50Milli != 0 || m.P90Milli != 0 || m.P99Milli != 0 ||
+		m.Hist.Count != 0 || m.Hist.Sum != 0 || m.Hist.Cumulative[len(m.Hist.Cumulative)-1] != 0 {
 		t.Fatalf("empty snapshot: %+v", m)
 	}
 	// A single sub-millisecond request: percentiles legitimately round
@@ -131,5 +133,52 @@ func TestLatencyWindowConcurrent(t *testing.T) {
 	}
 	if m.Window != latencyRing {
 		t.Errorf("window = %d, want %d", m.Window, latencyRing)
+	}
+}
+
+// TestHistogramBuckets pins the le boundary semantics of the window's
+// histogram: an observation exactly on a bound lands in that bound's
+// bucket (le is inclusive), one past every bound only in +Inf.
+func TestHistogramBuckets(t *testing.T) {
+	var e LatencyWindow
+	e.Observe(time.Millisecond, false) // exactly le="0.001", bucket index 1
+	s := e.Snapshot().Hist
+	if len(s.Bounds) != len(DefaultLatencyBuckets) || s.Bounds[1] != 0.001 {
+		t.Fatalf("bounds %v, want DefaultLatencyBuckets", s.Bounds)
+	}
+	if s.Cumulative[0] != 0 || s.Cumulative[1] != 1 || s.Count != 1 || s.Sum != 0.001 {
+		t.Errorf("boundary observation bucketed wrong: %+v", s)
+	}
+	e.Observe(time.Hour, true) // past every bound: +Inf only
+	s = e.Snapshot().Hist
+	if last := s.Cumulative[len(s.Cumulative)-1]; last != 1 || s.Count != 2 {
+		t.Errorf("overflow observation bucketed wrong: %+v", s)
+	}
+}
+
+// TestHistogramConcurrent exercises the histogram side of the window
+// under the race detector: every observation is counted once, in the
+// histogram and the request counter alike.
+func TestHistogramConcurrent(t *testing.T) {
+	var e LatencyWindow
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				e.Observe(time.Duration(i)*time.Microsecond, false)
+				_ = e.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	s := e.Snapshot()
+	if s.Hist.Count != 4000 || s.Requests != 4000 {
+		t.Errorf("histogram count = %d, requests = %d, want 4000", s.Hist.Count, s.Requests)
+	}
+	// Every observation is under 1ms, so the 1ms bucket holds them all.
+	if s.Hist.Cumulative[1] != 4000 {
+		t.Errorf("le=0.001 bucket = %d, want 4000", s.Hist.Cumulative[1])
 	}
 }

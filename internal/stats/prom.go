@@ -3,94 +3,16 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 )
 
 // This file is the dependency-free Prometheus side of the stats
-// package: a fixed-bucket latency Histogram alongside the
-// LatencyWindow percentile ring, and PromWriter, a text-exposition
-// renderer (`text/plain; version=0.0.4`) that any standard scraper
-// understands. None of it touches the simulator hot path — it is fed
-// by the serving/fabric layers, whose unit of work is an HTTP request,
-// not a µop.
-
-// DefaultLatencyBuckets are the histogram upper bounds (seconds) used
-// for request latencies: sub-millisecond cache replays up through the
-// multi-second simulations a scale-4 cell can cost.
-var DefaultLatencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
-// Histogram is a fixed-bucket latency histogram in the Prometheus
-// shape: cumulative bucket counts under each upper bound plus a sum
-// and total count, so a scraper can derive rates and quantile
-// estimates across processes (which the LatencyWindow's exact
-// percentiles — correct but unmergeable — cannot). Safe for
-// concurrent use.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // upper bounds in seconds, ascending
-	counts []uint64  // per-bucket (non-cumulative); last entry is +Inf
-	sum    float64
-	count  uint64
-}
-
-// NewHistogram builds a histogram over the given ascending upper
-// bounds in seconds (DefaultLatencyBuckets when none are given).
-func NewHistogram(bounds ...float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("stats: histogram bounds not ascending: %v", bounds))
-		}
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	s := d.Seconds()
-	i := sort.SearchFloat64s(h.bounds, s) // first bound >= s
-	h.mu.Lock()
-	h.counts[i]++
-	h.sum += s
-	h.count++
-	h.mu.Unlock()
-}
-
-// HistogramSnapshot is one histogram's state: cumulative counts per
-// bound (the final implicit +Inf bucket equals Count).
-type HistogramSnapshot struct {
-	Bounds     []float64
-	Cumulative []uint64
-	Sum        float64
-	Count      uint64
-}
-
-// Snapshot reads the histogram.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramSnapshot{
-		Bounds:     h.bounds,
-		Cumulative: make([]uint64, len(h.bounds)),
-		Sum:        h.sum,
-		Count:      h.count,
-	}
-	var cum uint64
-	for i := range h.bounds {
-		cum += h.counts[i]
-		s.Cumulative[i] = cum
-	}
-	return s
-}
+// package: PromWriter, a text-exposition renderer
+// (`text/plain; version=0.0.4`) that any standard scraper understands.
+// None of it touches the simulator hot path — it is fed by the
+// serving/fabric layers, whose unit of work is an HTTP request, not a
+// µop.
 
 // PromContentType is the Content-Type of a PromWriter document.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -99,75 +21,124 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 // given, so a fixed caller order keeps documents byte-stable.
 type Label struct{ Name, Value string }
 
+// Quantile is one window percentile gauge: its quantile label and its
+// value in milliseconds.
+type Quantile struct {
+	Label string
+	Milli float64
+}
+
 // PromWriter accumulates a Prometheus text-exposition document
-// (version 0.0.4). Metrics render in first-use order and HELP/TYPE
-// headers are emitted exactly once per metric family, so rendering
-// the same state twice produces byte-identical documents — which the
-// golden test pins.
+// (version 0.0.4). Samples are collected per metric family and each
+// family is written once, in first-use order: its HELP/TYPE header,
+// then all its samples in call order. Callers may therefore loop by
+// entity (endpoint, tenant, worker) and still get the grouped document
+// the format requires, and rendering the same state twice produces
+// byte-identical documents — which the golden tests pin.
 type PromWriter struct {
-	b      strings.Builder
-	headed map[string]bool
+	families []*promFamily
+	byName   map[string]*promFamily
 }
 
-// header emits the HELP/TYPE preamble once per metric family.
-func (p *PromWriter) header(name, help, typ string) {
-	if p.headed == nil {
-		p.headed = make(map[string]bool)
-	}
-	if p.headed[name] {
-		return
-	}
-	p.headed[name] = true
-	fmt.Fprintf(&p.b, "# HELP %s %s\n", name, escapeHelp(help))
-	fmt.Fprintf(&p.b, "# TYPE %s %s\n", name, typ)
+// promFamily is one metric family: its header and its sample lines.
+type promFamily struct {
+	header  string
+	samples strings.Builder
 }
 
-// sample emits one sample line.
-func (p *PromWriter) sample(name string, labels []Label, v float64) {
-	p.b.WriteString(name)
+// family returns the sample buffer of the named family, creating the
+// family (and its header) on first use.
+func (p *PromWriter) family(name, help, typ string) *strings.Builder {
+	f := p.byName[name]
+	if f == nil {
+		if p.byName == nil {
+			p.byName = make(map[string]*promFamily)
+		}
+		f = &promFamily{header: fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n",
+			name, escapeHelp(help), name, typ)}
+		p.byName[name] = f
+		p.families = append(p.families, f)
+	}
+	return &f.samples
+}
+
+// sample writes one sample line.
+func sample(b *strings.Builder, name string, labels []Label, v float64) {
+	b.WriteString(name)
 	if len(labels) > 0 {
-		p.b.WriteByte('{')
+		b.WriteByte('{')
 		for i, l := range labels {
 			if i > 0 {
-				p.b.WriteByte(',')
+				b.WriteByte(',')
 			}
-			fmt.Fprintf(&p.b, `%s="%s"`, l.Name, escapeLabel(l.Value))
+			fmt.Fprintf(b, `%s="%s"`, l.Name, escapeLabel(l.Value))
 		}
-		p.b.WriteByte('}')
+		b.WriteByte('}')
 	}
-	p.b.WriteByte(' ')
-	p.b.WriteString(formatPromValue(v))
-	p.b.WriteByte('\n')
+	b.WriteByte(' ')
+	b.WriteString(formatPromValue(v))
+	b.WriteByte('\n')
 }
 
-// Counter emits one counter sample (header on first use of name).
+// withLabel returns labels plus one more, leaving labels untouched.
+func withLabel(labels []Label, name, value string) []Label {
+	return append(append([]Label{}, labels...), Label{name, value})
+}
+
+// Counter adds one counter sample to the named family.
 func (p *PromWriter) Counter(name, help string, labels []Label, v float64) {
-	p.header(name, help, "counter")
-	p.sample(name, labels, v)
+	sample(p.family(name, help, "counter"), name, labels, v)
 }
 
-// Gauge emits one gauge sample (header on first use of name).
+// Gauge adds one gauge sample to the named family.
 func (p *PromWriter) Gauge(name, help string, labels []Label, v float64) {
-	p.header(name, help, "gauge")
-	p.sample(name, labels, v)
+	sample(p.family(name, help, "gauge"), name, labels, v)
 }
 
-// Histogram emits one histogram series: the cumulative `_bucket`
-// lines (with le labels, +Inf last), then `_sum` and `_count`.
-func (p *PromWriter) Histogram(name, help string, labels []Label, s HistogramSnapshot) {
-	p.header(name, help, "histogram")
-	for i, bound := range s.Bounds {
-		p.sample(name+"_bucket", append(append([]Label{}, labels...),
-			Label{"le", formatPromValue(bound)}), float64(s.Cumulative[i]))
+// BoolGauge adds one gauge sample reading 1 for true, 0 for false.
+func (p *PromWriter) BoolGauge(name, help string, labels []Label, b bool) {
+	v := 0.0
+	if b {
+		v = 1
 	}
-	p.sample(name+"_bucket", append(append([]Label{}, labels...),
-		Label{"le", "+Inf"}), float64(s.Count))
-	p.sample(name+"_sum", labels, s.Sum)
-	p.sample(name+"_count", labels, float64(s.Count))
+	p.Gauge(name, help, labels, v)
 }
 
-// String returns the accumulated document.
-func (p *PromWriter) String() string { return p.b.String() }
+// Window adds a latency window's gauges: name counts the observations
+// the percentiles cover, and name_seconds carries one sample per
+// quantile in qs, in the order given.
+func (p *PromWriter) Window(name, help, quantileHelp string, labels []Label, window int, qs ...Quantile) {
+	p.Gauge(name, help, labels, float64(window))
+	for _, q := range qs {
+		p.Gauge(name+"_seconds", quantileHelp,
+			withLabel(labels, "quantile", q.Label), q.Milli/1e3)
+	}
+}
+
+// Histogram adds one histogram series to the named family: the
+// cumulative `_bucket` lines (with le labels, +Inf last), then `_sum`
+// and `_count`.
+func (p *PromWriter) Histogram(name, help string, labels []Label, s HistogramSnapshot) {
+	b := p.family(name, help, "histogram")
+	for i, bound := range s.Bounds {
+		sample(b, name+"_bucket", withLabel(labels, "le", formatPromValue(bound)),
+			float64(s.Cumulative[i]))
+	}
+	sample(b, name+"_bucket", withLabel(labels, "le", "+Inf"), float64(s.Count))
+	sample(b, name+"_sum", labels, s.Sum)
+	sample(b, name+"_count", labels, float64(s.Count))
+}
+
+// String returns the document: each family's header and samples, in
+// first-use order.
+func (p *PromWriter) String() string {
+	var b strings.Builder
+	for _, f := range p.families {
+		b.WriteString(f.header)
+		b.WriteString(f.samples.String())
+	}
+	return b.String()
+}
 
 // formatPromValue renders a float the way Prometheus expects:
 // shortest round-trip representation, with +Inf/-Inf/NaN spelled out.

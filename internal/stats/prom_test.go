@@ -2,9 +2,7 @@ package stats
 
 import (
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 // TestPromGolden pins the exposition document byte-for-byte: metric
@@ -12,18 +10,20 @@ import (
 // per family, and histogram series carry cumulative le buckets with a
 // trailing +Inf.
 func TestPromGolden(t *testing.T) {
-	h := NewHistogram(0.001, 0.01, 0.1)
-	h.Observe(500 * time.Microsecond)
-	h.Observe(5 * time.Millisecond)
-	h.Observe(5 * time.Millisecond)
-	h.Observe(2 * time.Second)
+	// 0.5ms, 5ms, 5ms and 2s observed under bounds 1ms/10ms/100ms.
+	h := HistogramSnapshot{
+		Bounds:     []float64{0.001, 0.01, 0.1},
+		Cumulative: []uint64{1, 3, 3},
+		Sum:        2.0105,
+		Count:      4,
+	}
 
 	var p PromWriter
 	p.Counter("watchdog_requests_total", "Requests served.", []Label{{"endpoint", "sim"}}, 42)
 	p.Counter("watchdog_requests_total", "Requests served.", []Label{{"endpoint", "juliet"}}, 7)
 	p.Gauge("watchdog_inflight", "Computations executing now.", nil, 3)
 	p.Histogram("watchdog_request_duration_seconds", "Request latency.",
-		[]Label{{"endpoint", "sim"}}, h.Snapshot())
+		[]Label{{"endpoint", "sim"}}, h)
 
 	const want = `# HELP watchdog_requests_total Requests served.
 # TYPE watchdog_requests_total counter
@@ -101,39 +101,49 @@ func TestPromValueFormatting(t *testing.T) {
 	}
 }
 
-// TestHistogramBuckets pins the le boundary semantics: an observation
-// exactly on a bound lands in that bound's bucket (le is inclusive).
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(0.001, 0.01)
-	h.Observe(time.Millisecond) // exactly le="0.001"
-	s := h.Snapshot()
-	if s.Cumulative[0] != 1 || s.Cumulative[1] != 1 || s.Count != 1 {
-		t.Errorf("boundary observation bucketed wrong: %+v", s)
+// TestPromGroupsSplitFamilies: samples of one family added between
+// other families' samples still render as one contiguous group under
+// a single HELP/TYPE header, in the family's first-use position —
+// including a histogram family's _bucket/_sum/_count lines.
+func TestPromGroupsSplitFamilies(t *testing.T) {
+	h := HistogramSnapshot{Bounds: []float64{1}, Cumulative: []uint64{1}, Sum: 0.5, Count: 1}
+	var p PromWriter
+	for _, ep := range []string{"sim", "juliet"} {
+		labels := []Label{{"endpoint", ep}}
+		p.Counter("req_total", "Requests.", labels, 1)
+		p.Histogram("dur_seconds", "Latency.", labels, h)
+		p.BoolGauge("up", "Up.", labels, ep == "sim")
 	}
-	h.Observe(time.Minute) // past every bound: +Inf only
-	s = h.Snapshot()
-	if s.Cumulative[1] != 1 || s.Count != 2 {
-		t.Errorf("overflow observation bucketed wrong: %+v", s)
-	}
-}
+	p.Window("win", "Window.", "Window quantiles.", nil, 3,
+		Quantile{"0.5", 2}, Quantile{"0.99", 40})
 
-// TestHistogramConcurrent exercises the histogram under the race
-// detector.
-func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.Observe(time.Duration(i) * time.Microsecond)
-				_ = h.Snapshot()
-			}
-		}()
-	}
-	wg.Wait()
-	if s := h.Snapshot(); s.Count != 4000 {
-		t.Errorf("histogram count = %d, want 4000", s.Count)
+	const want = `# HELP req_total Requests.
+# TYPE req_total counter
+req_total{endpoint="sim"} 1
+req_total{endpoint="juliet"} 1
+# HELP dur_seconds Latency.
+# TYPE dur_seconds histogram
+dur_seconds_bucket{endpoint="sim",le="1"} 1
+dur_seconds_bucket{endpoint="sim",le="+Inf"} 1
+dur_seconds_sum{endpoint="sim"} 0.5
+dur_seconds_count{endpoint="sim"} 1
+dur_seconds_bucket{endpoint="juliet",le="1"} 1
+dur_seconds_bucket{endpoint="juliet",le="+Inf"} 1
+dur_seconds_sum{endpoint="juliet"} 0.5
+dur_seconds_count{endpoint="juliet"} 1
+# HELP up Up.
+# TYPE up gauge
+up{endpoint="sim"} 1
+up{endpoint="juliet"} 0
+# HELP win Window.
+# TYPE win gauge
+win 3
+# HELP win_seconds Window quantiles.
+# TYPE win_seconds gauge
+win_seconds{quantile="0.5"} 0.002
+win_seconds{quantile="0.99"} 0.04
+`
+	if got := p.String(); got != want {
+		t.Errorf("prom document mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

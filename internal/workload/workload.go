@@ -59,18 +59,22 @@ type Workload struct {
 	Build func(c *Ctx)
 }
 
+// registry holds the workloads in figure order: register inserts each
+// one in place, so All is a copy.
 var registry []Workload
 
-func register(w Workload) { registry = append(registry, w) }
-
-// All returns the workloads in the paper's figure order.
-func All() []Workload {
-	out := make([]Workload, len(registry))
-	copy(out, registry)
-	sort.SliceStable(out, func(i, j int) bool {
-		return figureOrder[out[i].Name] < figureOrder[out[j].Name]
+func register(w Workload) {
+	i := sort.Search(len(registry), func(i int) bool {
+		return figureOrder[registry[i].Name] > figureOrder[w.Name]
 	})
-	return out
+	registry = append(registry, Workload{})
+	copy(registry[i+1:], registry[i:])
+	registry[i] = w
+}
+
+// All returns a copy of the workloads in the paper's figure order.
+func All() []Workload {
+	return append([]Workload(nil), registry...)
 }
 
 // figureOrder is the benchmark order used along the x-axis of the

@@ -119,3 +119,20 @@ func TestWorkloadsWithProfile(t *testing.T) {
 		})
 	}
 }
+
+// TestAllFigureOrderAndCopy: All lists the workloads in figure order
+// and returns a copy, so a caller reordering its result does not
+// reorder a later call.
+func TestAllFigureOrderAndCopy(t *testing.T) {
+	ws := All()
+	for i, w := range ws {
+		if figureOrder[w.Name] != i {
+			t.Fatalf("All()[%d] = %s, figure position %d", i, w.Name, figureOrder[w.Name])
+		}
+	}
+	ws[0], ws[len(ws)-1] = ws[len(ws)-1], ws[0]
+	if again := All(); again[0].Name != "lbm" || again[len(again)-1].Name != "perl" {
+		t.Fatalf("mutating All()'s result reordered a later call: %s ... %s",
+			again[0].Name, again[len(again)-1].Name)
+	}
+}
